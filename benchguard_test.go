@@ -231,13 +231,12 @@ func TestChurnBaseline(t *testing.T) {
 }
 
 // TestInstrumentationOverhead guards the observability layer the same way
-// TestBenchBaseline guards the engine: attaching a live metrics registry,
-// event sink, and flight recorder (the always-on configuration specserved
-// runs with) must not change the engine's output at all (always checked),
-// and must not slow the run by more than 2x measured side by side on this
-// machine (RUN_BENCHCHECK=1). The disabled path is a nil-handle check per
-// call site, so a regression here means instrumentation leaked onto a hot
-// path.
+// TestBenchBaseline guards the engine: attaching a live metrics registry and
+// flight recorder (the always-on configuration specserved runs with) must
+// not change the engine's output at all (always checked), and must not slow
+// the run by more than 2x measured side by side on this machine
+// (RUN_BENCHCHECK=1). The disabled path is a nil-handle check per call site,
+// so a regression here means instrumentation leaked onto a hot path.
 func TestInstrumentationOverhead(t *testing.T) {
 	data, err := os.ReadFile("BENCH_BASELINE.json")
 	if err != nil {
@@ -276,7 +275,6 @@ func TestInstrumentationOverhead(t *testing.T) {
 
 			instrumented := core.Options{
 				Metrics: obs.NewRegistry(),
-				Events:  obs.NewSink(1024),
 				Flight:  trace.NewFlight(1 << 15),
 			}
 			// Best-of-15 (up from 5 pre-sampler): the 1.10x sampler budget
@@ -296,7 +294,6 @@ func TestInstrumentationOverhead(t *testing.T) {
 			sampledReg := obs.NewRegistry()
 			sampled := core.Options{
 				Metrics: sampledReg,
-				Events:  obs.NewSink(1024),
 				Flight:  trace.NewFlight(1 << 15),
 			}
 			// The 1.10x budget is far tighter than the 2x one, so min-of-N

@@ -52,7 +52,7 @@ func RunConcurrent(m *market.Market, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("agent: network: %w", err)
 	}
 	interceptor := &slotBuffer{}
-	met := newMsgMeter(cfg.Metrics, cfg.Events)
+	met := newMsgMeter(cfg.Metrics)
 	sender := met.meter(interceptor)
 
 	buyers := make([]*buyerAgent, m.N())
@@ -103,7 +103,7 @@ func RunConcurrent(m *market.Market, cfg Config) (*Result, error) {
 						res.EarlyBuyerTransitions++
 					}
 					statsMu.Unlock()
-					met.onTransition(simnet.KindBuyer, j, now)
+					met.onTransition(simnet.KindBuyer)
 				}
 			}(j)
 		}
@@ -140,7 +140,7 @@ func RunConcurrent(m *market.Market, cfg Config) (*Result, error) {
 						res.EarlySellerTransitions++
 					}
 					statsMu.Unlock()
-					met.onTransition(simnet.KindSeller, i, now)
+					met.onTransition(simnet.KindSeller)
 				}
 			}(i)
 		}
@@ -165,7 +165,7 @@ func RunConcurrent(m *market.Market, cfg Config) (*Result, error) {
 	res.Matching, res.DisagreedPairs = assemble(m, buyers, sellers)
 	res.Welfare = matching.Welfare(m, res.Matching)
 	res.Net = inner.Stats()
-	met.onDone(res.Slots, res.Terminated)
+	met.onDone(res.Slots)
 	if root.Active() {
 		root.Annotate(fmt.Sprintf("runtime=concurrent slots=%d terminated=%t matched=%d welfare=%.6g",
 			res.Slots, res.Terminated, res.Matching.MatchedCount(), res.Welfare))

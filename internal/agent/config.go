@@ -154,11 +154,6 @@ type Config struct {
 	// cost and never changes protocol behavior.
 	Metrics *obs.Registry
 
-	// Events, when non-nil, receives structured protocol events — one
-	// "agent.transition" per Stage II entry and one "agent.done" per run.
-	// Nil disables event recording entirely.
-	Events *obs.Sink
-
 	// Flight, when non-nil, receives causal spans: agent.run as the run's
 	// root, one agent.handle per delivered protocol message, and simnet.slot
 	// per network slot (propagated into Net). Nil disables tracing.

@@ -1,8 +1,6 @@
 package agent
 
 import (
-	"fmt"
-
 	"specmatch/internal/obs"
 	"specmatch/internal/simnet"
 )
@@ -14,7 +12,6 @@ import (
 // per-agent goroutines (the counters themselves are atomic). A nil *msgMeter
 // disables everything at the cost of one pointer check per call.
 type msgMeter struct {
-	events    *obs.Sink
 	sent      map[string]*obs.Counter // agent.sent.<type>
 	delivered map[string]*obs.Counter // agent.delivered.<type>
 
@@ -24,13 +21,12 @@ type msgMeter struct {
 	runs              *obs.Counter // agent.runs
 }
 
-func newMsgMeter(reg *obs.Registry, events *obs.Sink) *msgMeter {
-	if reg == nil && !events.Enabled() {
+func newMsgMeter(reg *obs.Registry) *msgMeter {
+	if reg == nil {
 		return nil
 	}
 	names := PayloadNames()
 	mm := &msgMeter{
-		events:            events,
 		sent:              make(map[string]*obs.Counter, len(names)),
 		delivered:         make(map[string]*obs.Counter, len(names)),
 		buyerTransitions:  reg.Counter("agent.transitions.buyer"),
@@ -61,43 +57,26 @@ func (mm *msgMeter) onDeliver(msg simnet.Message) {
 	mm.delivered[PayloadName(msg.Payload)].Inc()
 }
 
-// onTransition records one agent's Stage I → Stage II transition. Safe from
-// concurrent per-agent goroutines; event order within a slot is therefore
-// unspecified, which is fine for a debugging sink.
-func (mm *msgMeter) onTransition(kind simnet.Kind, index, slot int) {
+// onTransition counts one agent's Stage I → Stage II transition. Safe from
+// concurrent per-agent goroutines.
+func (mm *msgMeter) onTransition(kind simnet.Kind) {
 	if mm == nil {
 		return
 	}
-	node := "seller"
-	c := mm.sellerTransitions
 	if kind == simnet.KindBuyer {
-		node = "buyer"
-		c = mm.buyerTransitions
-	}
-	c.Inc()
-	if mm.events.Enabled() {
-		mm.events.Emit(obs.Event{
-			Slot: slot,
-			Kind: "agent.transition",
-			Node: fmt.Sprintf("%s-%d", node, index),
-		})
+		mm.buyerTransitions.Inc()
+	} else {
+		mm.sellerTransitions.Inc()
 	}
 }
 
 // onDone records the run's slots-to-convergence.
-func (mm *msgMeter) onDone(slots int, terminated bool) {
+func (mm *msgMeter) onDone(slots int) {
 	if mm == nil {
 		return
 	}
 	mm.runs.Inc()
 	mm.slots.Set(int64(slots))
-	if mm.events.Enabled() {
-		mm.events.Emit(obs.Event{
-			Slot: slots,
-			Kind: "agent.done",
-			Note: fmt.Sprintf("terminated=%v", terminated),
-		})
-	}
 }
 
 // meteredSender wraps a netSender, counting every send by payload type.

@@ -43,7 +43,7 @@ type BuyerNode struct {
 func NewBuyerNode(id int, m *market.Market, cfg Config) *BuyerNode {
 	cfg = cfg.withDefaults(m.M(), m.N())
 	buf := &sendBuffer{}
-	met := newMsgMeter(cfg.Metrics, cfg.Events)
+	met := newMsgMeter(cfg.Metrics)
 	return &BuyerNode{
 		b:   newBuyerAgent(id, m, cfg, defaultSchedule(m.M(), m.N()), met.meter(buf)),
 		buf: buf,
@@ -79,7 +79,7 @@ func (n *BuyerNode) Tick(now int) []simnet.Message {
 	wasStageI := n.b.stage == 1
 	n.b.tick(now)
 	if wasStageI && n.b.stage == 2 {
-		n.met.onTransition(simnet.KindBuyer, n.b.id, now)
+		n.met.onTransition(simnet.KindBuyer)
 	}
 	return n.buf.drain()
 }
@@ -104,7 +104,7 @@ type SellerNode struct {
 func NewSellerNode(id int, m *market.Market, cfg Config) *SellerNode {
 	cfg = cfg.withDefaults(m.M(), m.N())
 	buf := &sendBuffer{}
-	met := newMsgMeter(cfg.Metrics, cfg.Events)
+	met := newMsgMeter(cfg.Metrics)
 	return &SellerNode{
 		s:   newSellerAgent(id, m, cfg, defaultSchedule(m.M(), m.N()), met.meter(buf)),
 		buf: buf,
@@ -141,7 +141,7 @@ func (n *SellerNode) Tick(now int) ([]simnet.Message, error) {
 		return nil, err
 	}
 	if wasStageI && n.s.stage == 2 {
-		n.met.onTransition(simnet.KindSeller, n.s.id, now)
+		n.met.onTransition(simnet.KindSeller)
 	}
 	return n.buf.drain(), nil
 }

@@ -73,7 +73,7 @@ func Run(m *market.Market, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agent: network: %w", err)
 	}
-	met := newMsgMeter(cfg.Metrics, cfg.Events)
+	met := newMsgMeter(cfg.Metrics)
 	sender := met.meter(net)
 
 	buyers := make([]*buyerAgent, m.N())
@@ -112,7 +112,7 @@ func Run(m *market.Market, cfg Config) (*Result, error) {
 				if net.Now() < sched.stageII {
 					res.EarlyBuyerTransitions++
 				}
-				met.onTransition(simnet.KindBuyer, b.id, net.Now())
+				met.onTransition(simnet.KindBuyer)
 			}
 		}
 		for _, s := range sellers {
@@ -126,7 +126,7 @@ func Run(m *market.Market, cfg Config) (*Result, error) {
 				if net.Now() < sched.stageII {
 					res.EarlySellerTransitions++
 				}
-				met.onTransition(simnet.KindSeller, s.id, net.Now())
+				met.onTransition(simnet.KindSeller)
 			}
 		}
 		if quiesced(buyers, sellers, net) {
@@ -144,7 +144,7 @@ func Run(m *market.Market, cfg Config) (*Result, error) {
 	res.Matching, res.DisagreedPairs = assemble(m, buyers, sellers)
 	res.Welfare = matching.Welfare(m, res.Matching)
 	res.Net = net.Stats()
-	met.onDone(res.Slots, res.Terminated)
+	met.onDone(res.Slots)
 	if root.Active() {
 		root.Annotate(fmt.Sprintf("runtime=sequential slots=%d terminated=%t matched=%d welfare=%.6g",
 			res.Slots, res.Terminated, res.Matching.MatchedCount(), res.Welfare))

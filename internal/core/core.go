@@ -79,10 +79,6 @@ type Options struct {
 	// near-zero cost and never changes behavior.
 	Metrics *obs.Registry
 
-	// Events, when non-nil, receives one structured round summary per engine
-	// round (kind "core.round"). Nil disables event recording entirely.
-	Events *obs.Sink
-
 	// Flight, when non-nil, receives causal spans: core.run (or core.repair)
 	// as the run's root, core.round per engine round, and core.solve per
 	// seller coalition decision — the span tree that says which seller gated

@@ -51,7 +51,12 @@ type engine struct {
 
 	solves    atomic.Int64 // MWIS solves actually executed (atomic: fan-out)
 	evictions int64        // Stage I evictions (merged in seller-ID order)
-	met       *coreMetrics // nil when observability is off
+
+	// reg and rounds (core.round_seconds) are Options.Metrics and its round
+	// histogram; both are nil when instrumentation is off, which keeps the
+	// disabled path to a single pointer check per round.
+	reg    *obs.Registry
+	rounds *obs.Histogram
 
 	// fl and the two span contexts drive causal tracing. runCtx parents the
 	// per-round spans; roundCtx parents the per-seller core.solve spans and is
@@ -63,39 +68,21 @@ type engine struct {
 	roundCtx trace.SpanContext
 }
 
-// coreMetrics holds the engine's observability handles. It exists only when
-// Options.Metrics or Options.Events is set; a nil *coreMetrics keeps the
-// disabled path to a single pointer check per round.
-type coreMetrics struct {
-	reg    *obs.Registry
-	events *obs.Sink
-	rounds *obs.Histogram // core.round_seconds
-}
-
 // roundTimer starts timing one engine round; zero when observability is off.
 func (e *engine) roundTimer() time.Time {
-	if e.met == nil {
+	if e.reg == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// observeRound records one round's wall time and, when the event sink is
-// enabled, a structured round summary. Called from the sequential section
-// of each round loop.
-func (e *engine) observeRound(stage string, round, messages int, start time.Time) {
-	if e.met == nil {
+// observeRound records one round's wall time. Called from the sequential
+// section of each round loop.
+func (e *engine) observeRound(start time.Time) {
+	if e.reg == nil {
 		return
 	}
-	d := time.Since(start)
-	e.met.rounds.Observe(d.Seconds())
-	if e.met.events.Enabled() {
-		e.met.events.Emit(obs.Event{
-			Slot: round,
-			Kind: "core.round",
-			Note: fmt.Sprintf("%s messages=%d dur=%s", stage, messages, d),
-		})
-	}
+	e.rounds.Observe(time.Since(start).Seconds())
 }
 
 // publish flushes one run's aggregate counters onto the registry. solves is
@@ -104,10 +91,10 @@ func (e *engine) observeRound(stage string, round, messages int, start time.Time
 // so registry totals stay additive. The per-run values are invariant under
 // the worker schedule, so so are the registry totals.
 func (e *engine) publish(res *Result, solves int64) {
-	if e.met == nil || e.met.reg == nil {
+	reg := e.reg
+	if reg == nil {
 		return
 	}
-	reg := e.met.reg
 	reg.Counter("core.runs").Inc()
 	reg.Counter("core.rounds.stage_i").Add(int64(res.StageI.Rounds))
 	reg.Counter("core.rounds.phase_1").Add(int64(res.Phase1.Rounds))
@@ -140,12 +127,9 @@ func newEngine(m *market.Market, opts Options) *engine {
 	// Stand-alone entry points (RunStageI, the stage-II helpers) have no run
 	// root; parenting their rounds on SpanParent keeps them in one trace.
 	e.runCtx = opts.SpanParent
-	if opts.Metrics != nil || opts.Events.Enabled() {
-		e.met = &coreMetrics{
-			reg:    opts.Metrics,
-			events: opts.Events,
-			rounds: opts.Metrics.Histogram("core.round_seconds", obs.TimeBuckets()),
-		}
+	if opts.Metrics != nil {
+		e.reg = opts.Metrics
+		e.rounds = opts.Metrics.Histogram("core.round_seconds", obs.TimeBuckets())
 	}
 	return e
 }

@@ -50,8 +50,8 @@ func TestRunSpanTree(t *testing.T) {
 			if p, ok := byID[s.Parent]; !ok || p.Name != "core.run" {
 				t.Errorf("core.round parent = %v, want core.run", s.Parent)
 			}
-			if !strings.Contains(s.Attrs, "stage=") || !strings.Contains(s.Attrs, "messages=") {
-				t.Errorf("core.round attrs %q missing stage/messages", s.Attrs)
+			if !strings.Contains(s.Attrs, "stage=") || !strings.Contains(s.Attrs, "round=") || !strings.Contains(s.Attrs, "messages=") {
+				t.Errorf("core.round attrs %q missing stage/round/messages", s.Attrs)
 			}
 		case "core.solve":
 			solves++

@@ -126,7 +126,7 @@ func (e *engine) runStageI() (*matching.Matching, StageStats, error) {
 			}
 			waiting[i] = selected
 		}
-		e.observeRound("stage_i", round, proposalsMade, roundStart)
+		e.observeRound(roundStart)
 		e.endRound(&roundSpan, "stage_i", round, proposalsMade)
 	}
 

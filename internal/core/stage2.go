@@ -259,7 +259,7 @@ func (e *engine) runTransfer(mu *matching.Matching) ([][]int, StageStats, error)
 				s2.granted.Clear(j)
 			}
 		}
-		e.observeRound("phase_1", round, applicationsMade, roundStart)
+		e.observeRound(roundStart)
 		e.endRound(&roundSpan, "phase_1", round, applicationsMade)
 	}
 
@@ -387,7 +387,7 @@ func (e *engine) runInvitation(mu *matching.Matching, inviteLists [][]int) (Stag
 			s2.invSellers[j] = s2.invSellers[j][:0]
 		}
 		s2.invBuyers = invBuyers[:0]
-		e.observeRound("phase_2", round, invitesMade, roundStart)
+		e.observeRound(roundStart)
 		e.endRound(&roundSpan, "phase_2", round, invitesMade)
 	}
 

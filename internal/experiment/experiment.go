@@ -44,10 +44,6 @@ type RunConfig struct {
 	// parallel replications share it safely). Measured results are identical
 	// either way.
 	Metrics *obs.Registry
-
-	// Events, when non-nil, receives one "experiment.rep" event per
-	// completed replication (Slot = sweep-point index).
-	Events *obs.Sink
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -148,13 +144,6 @@ func runSweep(cfg RunConfig, series []string, points []sweepPoint) ([]Point, err
 			for jb := range jobs {
 				seed := xrand.Split(cfg.Seed, jb.point*1_000_003+jb.rep)
 				m, err := points[jb.point].run(seed)
-				if cfg.Events.Enabled() {
-					note := fmt.Sprintf("rep=%d seed=%d", jb.rep, seed)
-					if err != nil {
-						note += " err=" + err.Error()
-					}
-					cfg.Events.Emit(obs.Event{Slot: jb.point, Kind: "experiment.rep", Note: note})
-				}
 				outcomes <- outcome{point: jb.point, m: m, err: err}
 			}
 		}()

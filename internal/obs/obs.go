@@ -1,12 +1,11 @@
 // Package obs is the repo's dependency-free observability subsystem: atomic
-// counters, gauges, and fixed-bucket histograms behind a named registry,
-// plus a slot-scoped structured event sink. Every layer that does real work
-// — the synchronous engine (internal/core), the asynchronous agents
-// (internal/agent), the simulated network (internal/simnet), and the TCP
-// transport (internal/wire) — publishes into a caller-supplied *Registry,
-// so one registry threaded through a run yields a coherent snapshot of
-// where rounds went, what each protocol phase cost in messages, and what
-// fault injection actually did.
+// counters, gauges, and fixed-bucket histograms behind a named registry.
+// Every layer that does real work — the synchronous engine (internal/core),
+// the asynchronous agents (internal/agent), the simulated network
+// (internal/simnet), and the TCP transport (internal/wire) — publishes into
+// a caller-supplied *Registry, so one registry threaded through a run yields
+// a coherent snapshot of where rounds went, what each protocol phase cost in
+// messages, and what fault injection actually did.
 //
 // Disabled is the default and costs (almost) nothing: a nil *Registry hands
 // out nil metric handles, and every metric method is a nil-guarded no-op —

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestNilRegistryAndMetrics: the disabled path — nil registry, nil handles,
-// nil sink — must be a total no-op, never a panic.
+// TestNilRegistryAndMetrics: the disabled path — nil registry, nil handles —
+// must be a total no-op, never a panic.
 func TestNilRegistryAndMetrics(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
@@ -35,15 +35,6 @@ func TestNilRegistryAndMetrics(t *testing.T) {
 	}
 	if r.CounterValue("x") != 0 || r.GaugeValue("y") != 0 || r.CounterNames() != nil {
 		t.Error("nil registry accessors should read zero values")
-	}
-
-	var s *Sink
-	if s.Enabled() {
-		t.Error("nil sink should be disabled")
-	}
-	s.Emit(Event{Slot: 1, Kind: "k"})
-	if s.Len() != 0 || s.Events() != nil || s.Dropped() != 0 {
-		t.Error("nil sink should discard everything")
 	}
 }
 
@@ -120,7 +111,6 @@ func TestSnapshotJSON(t *testing.T) {
 
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
-	s := NewSink(0)
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -131,9 +121,6 @@ func TestConcurrentUpdates(t *testing.T) {
 				r.Counter("n").Inc()
 				r.Gauge("g").Add(1)
 				r.Histogram("h", []float64{0.5}).Observe(1)
-				if s.Enabled() {
-					s.Emit(Event{Slot: k, Kind: "tick"})
-				}
 			}
 		}(w)
 	}
@@ -148,26 +135,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	h := r.Histogram("h", nil)
 	if h.Count() != total || h.Sum() != float64(total) {
 		t.Errorf("histogram count/sum = %d/%v, want %d", h.Count(), h.Sum(), total)
-	}
-	if got := int64(s.Len()) + s.Dropped(); got != total {
-		t.Errorf("sink stored+dropped = %d, want %d", got, total)
-	}
-}
-
-func TestSinkLimit(t *testing.T) {
-	s := NewSink(2)
-	for k := 0; k < 5; k++ {
-		s.Emit(Event{Slot: k, Kind: "e"})
-	}
-	if s.Len() != 2 || s.Dropped() != 3 {
-		t.Errorf("len/dropped = %d/%d, want 2/3", s.Len(), s.Dropped())
-	}
-	events := s.Events()
-	if events[0].Slot != 0 || events[1].Slot != 1 {
-		t.Errorf("sink should keep the earliest events, got %v", events)
-	}
-	if got := events[0].String(); got == "" {
-		t.Error("event String should be non-empty")
 	}
 }
 
