@@ -94,12 +94,17 @@ func run(args []string, out io.Writer) error {
 	}
 
 	mon := newMonitor(fs.Args())
+	// Signals cancel in-flight polls; -duration only ends the loop. A poll
+	// still running when the run's time is up completes (each request is
+	// bounded by the client timeout), so a healthy node is never reported
+	// unreachable just because the deadline fell mid-poll.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	var deadline <-chan time.Time
 	if *duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *duration)
-		defer cancel()
+		timer := time.NewTimer(*duration)
+		defer timer.Stop()
+		deadline = timer.C
 	}
 
 	enc := json.NewEncoder(out)
@@ -120,7 +125,16 @@ func run(args []string, out io.Writer) error {
 		select {
 		case <-ctx.Done():
 			running = false
+		case <-deadline:
+			running = false
 		case <-ticker.C:
+			// After a slow poll the tick and the deadline can both be ready,
+			// and select picks at random: the deadline must still win.
+			select {
+			case <-deadline:
+				running = false
+			default:
+			}
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -127,6 +128,53 @@ func TestAggregationTwoNodes(t *testing.T) {
 	}
 	if first.ErrorRate != 0 {
 		t.Fatalf("error rate %v with no 5xx driven", first.ErrorRate)
+	}
+}
+
+// TestPollSpanningDeadline: a poll still in flight when -duration runs out
+// must complete, not be aborted and reported as an unreachable node. The
+// node answers its series endpoint slowly, so the first poll straddles the
+// deadline.
+func TestPollSpanningDeadline(t *testing.T) {
+	s, err := server.New(server.Config{Metrics: obs.NewRegistry(), SampleInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/debug/metrics/series" {
+			time.Sleep(300 * time.Millisecond)
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		slow.Close()
+		s.Drain()
+	})
+
+	var buf bytes.Buffer
+	start := time.Now()
+	if err := run([]string{"-json", "-interval", "50ms", "-duration", "100ms", slow.URL}, &buf); err != nil {
+		t.Fatalf("specmon -json: %v\noutput:\n%s", err, buf.String())
+	}
+	if elapsed := time.Since(start); elapsed < 300*time.Millisecond {
+		t.Fatalf("run returned after %v, before the slow poll could finish", elapsed)
+	}
+	var ticks []Tick
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var tk Tick
+		if err := json.Unmarshal(sc.Bytes(), &tk); err != nil {
+			t.Fatalf("bad timeline line %q: %v", sc.Text(), err)
+		}
+		ticks = append(ticks, tk)
+	}
+	if len(ticks) != 1 {
+		t.Fatalf("timeline has %d ticks, want exactly the one poll that spanned the deadline", len(ticks))
+	}
+	for _, n := range ticks[0].Nodes {
+		if n.Err != "" {
+			t.Fatalf("healthy slow node reported unreachable: %s", n.Err)
+		}
 	}
 }
 

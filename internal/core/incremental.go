@@ -47,6 +47,8 @@ import (
 // Arrived buyers activated, ChannelsDown reclaimed (displacing the listed
 // Displaced buyers), ChannelsUp re-offered. Lists carry only real
 // transitions — a departure of an already-inactive buyer never appears.
+// Incremental.Step reads a Churn and never retains it, so callers may reuse
+// one across steps (see Reset).
 type Churn struct {
 	Arrived      []int
 	Departed     []int
@@ -55,15 +57,31 @@ type Churn struct {
 	ChannelsDown []int
 
 	// Moved lists buyers relocated by the step (the session already rewired
-	// the base market's graphs); MovedOldNbrs their pre-move interference
-	// neighbors across channels (duplicates allowed — consumers set bits),
-	// so the dirty closure covers dissolved conflicts as well as created
-	// ones. Rewired lists the channels whose graph actually changed; the
-	// engine drops those channels' coalition memos, which would otherwise
-	// pin decisions made against the old graph.
+	// the base market's graphs). MovedOldNbrs is a bitset over buyers: the
+	// OR of every mover's pre-move interference rows across channels, nil
+	// when nobody moved. It lets the dirty closure cover dissolved conflicts
+	// as well as created ones. It may be the caller's reusable scratch, so
+	// the engine reads it during Step and never retains it. Rewired lists
+	// the channels whose graph actually changed; the engine drops those
+	// channels' coalition memos, which would otherwise pin decisions made
+	// against the old graph.
 	Moved        []int
-	MovedOldNbrs []int
+	MovedOldNbrs graph.Bits
 	Rewired      []int
+}
+
+// Reset empties c for reuse, keeping every list's storage; MovedOldNbrs,
+// which the caller owns, becomes nil.
+func (c *Churn) Reset() {
+	*c = Churn{
+		Arrived:      c.Arrived[:0],
+		Departed:     c.Departed[:0],
+		Displaced:    c.Displaced[:0],
+		ChannelsUp:   c.ChannelsUp[:0],
+		ChannelsDown: c.ChannelsDown[:0],
+		Moved:        c.Moved[:0],
+		Rewired:      c.Rewired[:0],
+	}
 }
 
 // incMetrics holds the incremental engine's observability handles; nil when
@@ -237,14 +255,12 @@ func (inc *Incremental) computeDirty(ch Churn, cold bool) (dirtyBuyers, dirtySel
 			inc.seed.Set(j)
 		}
 		// A moved buyer dirties both neighborhoods: the new one via her own
-		// (already rewired) rows, the old one via the pre-move neighbor list
-		// the session collected before rewiring.
+		// (already rewired) rows, the old one via the pre-move rows the
+		// session ORed together before rewiring.
 		for _, j := range ch.Moved {
 			inc.seed.Set(j)
 		}
-		for _, j := range ch.MovedOldNbrs {
-			inc.seed.Set(j)
-		}
+		inc.seed.Or(ch.MovedOldNbrs)
 	}
 	inc.closure.Or(inc.seed)
 	for i := 0; i < numSellers; i++ {

@@ -9,10 +9,9 @@ import "math/bits"
 // loops so the compiler can keep them branch-light.
 //
 // Iteration order is always ascending vertex ID (word by word, lowest set
-// bit first). That order is part of the contract for the same reason the
-// Graph's neighbor lists are sorted: floating-point neighborhood sums must
-// be bit-for-bit reproducible, so no representation change may reorder
-// them.
+// bit first). That order is part of the contract: every Graph neighbor
+// iteration is a ForEach over a row, and floating-point neighborhood sums
+// must be bit-for-bit reproducible, so no change here may reorder them.
 type Bits []uint64
 
 const wordShift = 6

@@ -75,7 +75,7 @@ func TestBitsetSliceEquivalence(t *testing.T) {
 				}
 			}
 			if edges != 2*g.M() {
-				t.Fatalf("n=%d p=%g: M()=%d but neighbor lists sum to %d", n, p, g.M(), edges)
+				t.Fatalf("n=%d p=%g: M()=%d but degrees sum to %d", n, p, g.M(), edges)
 			}
 
 			// Random subsets: mask kernels vs slice kernels.

@@ -3,23 +3,19 @@
 // G_i = (V, E_i) over the set of virtual buyers; an edge connects two buyers
 // that may not reuse channel i simultaneously.
 //
-// Vertices are dense integer IDs [0, N). The representation keeps two views
-// of the adjacency structure, both maintained on every mutation:
-//
-//   - a word-parallel bitset row per vertex (Row), which makes edge queries,
-//     independence checks, conflict screening and the MWIS kernels in
-//     package mwis AND/ANDNOT/popcount word loops rather than per-neighbor
-//     branches, and
-//   - sorted neighbor slices (Neighbors, EachNeighbor), the compatibility
-//     view every order-sensitive consumer iterates — the ascending order is
-//     load-bearing, because downstream floating-point neighborhood sums must
-//     be bit-for-bit reproducible across runs and representations.
+// Vertices are dense integer IDs [0, N). The adjacency structure has exactly
+// one representation: a word-parallel bitset row per vertex (Row). Edge
+// queries, independence checks, conflict screening and the MWIS kernels in
+// package mwis are AND/ANDNOT/popcount word loops over those rows, and every
+// neighbor iteration (Neighbors, EachNeighbor, Edges) walks a row with
+// Bits.ForEach. That walk visits neighbors in ascending order, and the order
+// is load-bearing: downstream floating-point neighborhood sums must be
+// bit-for-bit reproducible across runs, so it is part of the contract.
 package graph
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Graph is a simple undirected graph over vertices 0..n-1. The zero value is
@@ -28,7 +24,6 @@ type Graph struct {
 	n     int
 	words int      // bitset words per adjacency row: WordsFor(n)
 	rows  []uint64 // row-major adjacency bitsets: row v is rows[v*words:(v+1)*words]
-	nbr   [][]int  // ascending neighbor lists, mirroring the bitset rows
 	edges int
 }
 
@@ -42,7 +37,6 @@ func New(n int) *Graph {
 		n:     n,
 		words: words,
 		rows:  make([]uint64, n*words),
-		nbr:   make([][]int, n),
 	}
 }
 
@@ -58,7 +52,8 @@ func (g *Graph) Words() int { return g.words }
 
 // Row returns vertex v's adjacency bitset: bit u is set iff {v, u} is an
 // edge. The returned slice aliases the graph's storage — callers must treat
-// it as read-only. Out-of-range v returns nil (no set bits).
+// it as read-only. Out-of-range v returns nil (no set bits), which is what
+// makes every per-vertex query below safe on out-of-range input.
 func (g *Graph) Row(v int) Bits {
 	if !g.validVertex(v) {
 		return nil
@@ -83,49 +78,27 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	g.Row(u).Set(v)
 	g.Row(v).Set(u)
-	g.insertNeighbor(u, v)
-	g.insertNeighbor(v, u)
 	g.edges++
 	return nil
 }
 
-// insertNeighbor keeps nbr[u] sorted ascending. Neighbor lists are consumed
-// in order by every iteration helper, which keeps all downstream arithmetic
-// (e.g. the floating-point neighborhood sums in package mwis) bit-for-bit
-// reproducible across runs.
-func (g *Graph) insertNeighbor(u, v int) {
-	lst := g.nbr[u]
-	k := sort.SearchInts(lst, v)
-	lst = append(lst, 0)
-	copy(lst[k+1:], lst[k:])
-	lst[k] = v
-	g.nbr[u] = lst
-}
-
 // HasEdge reports whether {u, v} is an edge. Out-of-range queries and
 // self-queries return false.
-func (g *Graph) HasEdge(u, v int) bool {
-	if !g.validVertex(u) || !g.validVertex(v) || u == v {
-		return false
-	}
-	return g.Row(u).Get(v)
-}
+func (g *Graph) HasEdge(u, v int) bool { return u != v && g.Row(u).Get(v) }
 
 // Degree returns the number of neighbors of v, or 0 for out-of-range v.
-func (g *Graph) Degree(v int) int {
-	if !g.validVertex(v) {
-		return 0
-	}
-	return len(g.nbr[v])
-}
+func (g *Graph) Degree(v int) int { return g.Row(v).Count() }
 
-// Neighbors returns the neighbors of v in ascending order. The slice is a
-// fresh copy the caller may retain.
+// Neighbors returns the neighbors of v in ascending order, nil when v has
+// none or is out of range. The slice is fresh; the caller may retain it.
 func (g *Graph) Neighbors(v int) []int {
-	if !g.validVertex(v) {
+	d := g.Degree(v)
+	if d == 0 {
 		return nil
 	}
-	return append([]int(nil), g.nbr[v]...)
+	out := make([]int, 0, d)
+	g.Row(v).ForEach(func(u int) bool { out = append(out, u); return true })
+	return out
 }
 
 // EachNeighbor calls fn for every neighbor of v in ascending order, stopping
@@ -133,14 +106,7 @@ func (g *Graph) Neighbors(v int) []int {
 // the contract: callers accumulate floating-point sums over neighborhoods,
 // and reproducibility requires a fixed iteration order.
 func (g *Graph) EachNeighbor(v int, fn func(u int) bool) {
-	if !g.validVertex(v) {
-		return
-	}
-	for _, u := range g.nbr[v] {
-		if !fn(u) {
-			return
-		}
-	}
+	g.Row(v).ForEach(fn)
 }
 
 // IsIndependent reports whether no two vertices of set are adjacent. The
@@ -161,7 +127,7 @@ func (g *Graph) IsIndependent(set []int) bool {
 // It runs in O(|set| · words) instead of O(|set|²).
 func (g *Graph) IsIndependentMask(set []int, mask Bits) bool {
 	for _, v := range set {
-		if g.validVertex(v) && AndAny(g.Row(v), mask) {
+		if AndAny(g.Row(v), mask) {
 			return false
 		}
 	}
@@ -170,9 +136,6 @@ func (g *Graph) IsIndependentMask(set []int, mask Bits) bool {
 
 // ConflictsWith reports whether vertex v is adjacent to any vertex in set.
 func (g *Graph) ConflictsWith(v int, set []int) bool {
-	if !g.validVertex(v) {
-		return false
-	}
 	row := g.Row(v)
 	for _, u := range set {
 		if row.Get(u) {
@@ -185,76 +148,55 @@ func (g *Graph) ConflictsWith(v int, set []int) bool {
 // ConflictsMask reports whether vertex v is adjacent to any vertex of the
 // mask — one AND-any word loop, the hot screening kernel of the incremental
 // repair path.
-func (g *Graph) ConflictsMask(v int, mask Bits) bool {
-	if !g.validVertex(v) {
-		return false
-	}
-	return AndAny(g.Row(v), mask)
-}
+func (g *Graph) ConflictsMask(v int, mask Bits) bool { return AndAny(g.Row(v), mask) }
 
 // RewireVertex replaces vertex v's entire neighborhood in place: after the
-// call, v is adjacent to exactly the vertices in neighbors (duplicates are
-// idempotent; self-loops and out-of-range entries are errors, applied
-// atomically — a bad input leaves g untouched). Both adjacency views are
-// maintained for v and for every vertex whose adjacency to v changed, found
-// by one word-parallel XOR pass over v's row rather than per-edge scans.
+// call, v is adjacent to exactly the vertices set in row, which must have
+// Words() words. A self bit, a bit at or above N, or a row of the wrong
+// length is an error, applied atomically — a bad input leaves g untouched.
+// Only the symmetric difference of the old and new rows is touched, found by
+// one word-parallel XOR pass, so the cost is O(Words() + flipped edges).
 // This is the mobility kernel: a buyer moving re-derives her interference
-// row per channel, and only the symmetric difference of the old and new
-// neighborhoods is touched. It reports whether any edge changed.
-func (g *Graph) RewireVertex(v int, neighbors []int) (bool, error) {
+// row per channel. row is read, never retained, and must not alias g's own
+// storage. It reports whether any edge changed.
+func (g *Graph) RewireVertex(v int, row Bits) (bool, error) {
 	if !g.validVertex(v) {
 		return false, fmt.Errorf("graph: rewire vertex %d out of range [0,%d)", v, g.n)
 	}
-	newRow := NewBits(g.n)
-	for _, u := range neighbors {
-		if !g.validVertex(u) {
+	if len(row) != g.words {
+		return false, fmt.Errorf("graph: rewire row has %d words, want %d", len(row), g.words)
+	}
+	if row.Get(v) {
+		return false, fmt.Errorf("graph: self-loop on vertex %d", v)
+	}
+	if tail := uint(g.n) & wordMask; tail != 0 {
+		if extra := row[g.words-1] >> tail; extra != 0 {
+			u := g.n + bits.TrailingZeros64(extra)
 			return false, fmt.Errorf("graph: rewire neighbor %d out of range [0,%d)", u, g.n)
 		}
-		if u == v {
-			return false, fmt.Errorf("graph: self-loop on vertex %d", v)
-		}
-		newRow.Set(u)
 	}
-	row := g.Row(v)
+	old := g.Row(v)
 	changed := false
-	for w := 0; w < g.words; w++ {
-		diff := row[w] ^ newRow[w]
+	for w, next := range row {
+		diff := old[w] ^ next
 		if diff == 0 {
 			continue
 		}
 		changed = true
-		base := w << 6
-		for diff != 0 {
+		base := w << wordShift
+		for ; diff != 0; diff &= diff - 1 {
 			b := bits.TrailingZeros64(diff)
-			diff &^= 1 << uint(b)
-			u := base + b
-			if newRow.Get(u) {
-				g.Row(u).Set(v)
-				g.insertNeighbor(u, v)
+			if next&(1<<uint(b)) != 0 {
+				g.Row(base + b).Set(v)
 				g.edges++
 			} else {
-				g.Row(u).Clear(v)
-				g.removeNeighbor(u, v)
+				g.Row(base + b).Clear(v)
 				g.edges--
 			}
 		}
-		row[w] = newRow[w]
-	}
-	if changed {
-		lst := g.nbr[v][:0]
-		newRow.ForEach(func(u int) bool { lst = append(lst, u); return true })
-		g.nbr[v] = lst
+		old[w] = next
 	}
 	return changed, nil
-}
-
-// removeNeighbor drops v from nbr[u], preserving the ascending order.
-func (g *Graph) removeNeighbor(u, v int) {
-	lst := g.nbr[u]
-	k := sort.SearchInts(lst, v)
-	if k < len(lst) && lst[k] == v {
-		g.nbr[u] = append(lst[:k], lst[k+1:]...)
-	}
 }
 
 // UnionRowsInto ORs the adjacency rows of every vertex set in seed into out:
@@ -276,11 +218,12 @@ func (g *Graph) UnionRowsInto(seed Bits, out Bits) {
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.edges)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.nbr[u] {
+		g.Row(u).ForEach(func(v int) bool {
 			if u < v {
 				out = append(out, [2]int{u, v})
 			}
-		}
+			return true
+		})
 	}
 	return out
 }
@@ -289,9 +232,6 @@ func (g *Graph) Edges() [][2]int {
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
 	copy(c.rows, g.rows)
-	for u := 0; u < g.n; u++ {
-		c.nbr[u] = append([]int(nil), g.nbr[u]...)
-	}
 	c.edges = g.edges
 	return c
 }
@@ -313,26 +253,19 @@ func (g *Graph) Complement() *Graph {
 // InducedDegree returns the number of neighbors of v inside the given vertex
 // subset (membership given as a boolean slice of length N).
 func (g *Graph) InducedDegree(v int, in []bool) int {
-	if !g.validVertex(v) {
-		return 0
-	}
 	d := 0
-	for _, u := range g.nbr[v] {
+	g.Row(v).ForEach(func(u int) bool {
 		if u < len(in) && in[u] {
 			d++
 		}
-	}
+		return true
+	})
 	return d
 }
 
 // InducedDegreeMask returns the number of neighbors of v inside the mask —
 // popcount(Row(v) AND mask), the word-parallel InducedDegree.
-func (g *Graph) InducedDegreeMask(v int, mask Bits) int {
-	if !g.validVertex(v) {
-		return 0
-	}
-	return AndCount(g.Row(v), mask)
-}
+func (g *Graph) InducedDegreeMask(v int, mask Bits) int { return AndCount(g.Row(v), mask) }
 
 // String returns a compact human-readable description.
 func (g *Graph) String() string {

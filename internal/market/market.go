@@ -15,6 +15,7 @@ package market
 
 import (
 	"fmt"
+	"sort"
 
 	"specmatch/internal/geom"
 	"specmatch/internal/graph"
@@ -42,6 +43,10 @@ type Market struct {
 	// examples and ablations can inspect it. Empty for abstract markets.
 	buyerPos []geom.Point
 	ranges   []float64
+
+	// move is MoveBuyer's reusable working set, built on the first move.
+	// It belongs to this instance alone: Clone never copies it.
+	move *moveScratch
 }
 
 // New builds a market from explicit prices and per-channel interference
@@ -125,6 +130,7 @@ func (m *Market) Clone() *Market {
 		c.graphs[i] = g.Clone()
 	}
 	c.buyerPos = append([]geom.Point(nil), m.buyerPos...)
+	c.move = nil
 	return &c
 }
 
@@ -137,6 +143,12 @@ func (m *Market) Clone() *Market {
 // rewired, via the graph's in-place kernel. It returns the channels whose
 // graph actually changed, ascending; a move that flips no edge returns an
 // empty set but still records the position, so later moves measure from p.
+//
+// Ranges nest, so each other buyer's distance to p is computed once and
+// placed in the row of the smallest range covering it; a prefix OR over the
+// ranges, ascending, then yields every channel's new row. Per move that is
+// O(N log M) distance work, O(M·N/64) row words and O(1) per flipped edge,
+// and in steady state only the returned list is allocated.
 func (m *Market) MoveBuyer(j int, p geom.Point) ([]int, error) {
 	if !m.HasGeometry() {
 		return nil, fmt.Errorf("market: move buyer %d: market retains no geometry", j)
@@ -145,28 +157,64 @@ func (m *Market) MoveBuyer(j int, p geom.Point) ([]int, error) {
 		return nil, fmt.Errorf("market: move buyer %d out of range [0,%d)", j, m.N())
 	}
 	m.buyerPos[j] = p
-	var changed []int
-	nbrs := make([]int, 0, m.N()-1)
-	for i, g := range m.graphs {
-		r2 := m.ranges[i] * m.ranges[i]
-		nbrs = nbrs[:0]
-		for k := 0; k < m.N(); k++ {
-			if k == j {
-				continue
-			}
-			if m.buyerOwner[k] == m.buyerOwner[j] || p.DistSq(m.buyerPos[k]) <= r2 {
-				nbrs = append(nbrs, k)
-			}
+	sc := m.moveScratch()
+	for _, row := range sc.rows {
+		row.Reset()
+	}
+	for k, q := range m.buyerPos {
+		t := 0 // co-owners conflict on every channel
+		if m.buyerOwner[k] != m.buyerOwner[j] {
+			// The first t with r2[t] >= d: the disk rule d <= r2, under
+			// which a NaN distance stays out of every range.
+			t = sort.SearchFloat64s(sc.r2, p.DistSq(q))
 		}
-		flipped, err := g.RewireVertex(j, nbrs)
+		if k != j && t < len(sc.rows) {
+			sc.rows[t].Set(k)
+		}
+	}
+	for t := 1; t < len(sc.rows); t++ {
+		sc.rows[t].Or(sc.rows[t-1])
+	}
+	var changed []int
+	for i, g := range m.graphs {
+		flipped, err := g.RewireVertex(j, sc.rows[sc.rank[i]])
 		if err != nil {
 			return nil, fmt.Errorf("market: move buyer %d: channel %d: %w", j, i, err)
 		}
 		if flipped {
+			if changed == nil {
+				changed = make([]int, 0, len(m.graphs)-i)
+			}
 			changed = append(changed, i)
 		}
 	}
 	return changed, nil
+}
+
+// moveScratch is MoveBuyer's working set: r2 holds the squared channel
+// ranges ascending, channel i's range is r2[rank[i]], and after a move
+// rows[t] holds every buyer within r2[t] of the mover.
+type moveScratch struct {
+	r2   []float64
+	rank []int
+	rows []graph.Bits
+}
+
+// moveScratch returns the market's move scratch, building it on first use.
+func (m *Market) moveScratch() *moveScratch {
+	if m.move == nil {
+		sc := &moveScratch{r2: make([]float64, m.M()), rank: make([]int, m.M()), rows: make([]graph.Bits, m.M())}
+		for i, r := range m.ranges {
+			sc.r2[i] = r * r
+			sc.rows[i] = graph.NewBits(m.N())
+		}
+		sort.Float64s(sc.r2)
+		for i, r := range m.ranges {
+			sc.rank[i] = sort.SearchFloat64s(sc.r2, r*r) // ties share the first index
+		}
+		m.move = sc
+	}
+	return m.move
 }
 
 // Interferes reports whether buyers j and j2 interfere on channel i

@@ -72,6 +72,8 @@ func randomDeployment(r interface{ Float64() float64 }, n int) ([]geom.Point, []
 // TestMoveBuyerMatchesNaiveRebuild: after every incremental MoveBuyer, each
 // channel graph must equal the graph rebuilt from scratch over the current
 // positions — the mobility analogue of the churn engine's differential pin.
+// The ranges are out of order and include a tie, because MoveBuyer derives
+// every channel's row from the channels sorted by range.
 func TestMoveBuyerMatchesNaiveRebuild(t *testing.T) {
 	for _, seed := range []int64{61, 62, 63} {
 		seed := seed
@@ -79,7 +81,7 @@ func TestMoveBuyerMatchesNaiveRebuild(t *testing.T) {
 			t.Parallel()
 			r := xrand.New(seed)
 			positions, owners := randomDeployment(r, 17)
-			ranges := []float64{1.2, 2.5, 4}
+			ranges := []float64{2.5, 1.2, 4, 1.2}
 			m := geoMarket(t, positions, owners, ranges)
 			for step := 0; step < 60; step++ {
 				j := int(r.Float64() * float64(len(positions)))
@@ -102,7 +104,7 @@ func TestMoveBuyerMatchesNaiveRebuild(t *testing.T) {
 
 // TestMoveOutAndBackRestoresRows: moving a buyer away and then back to its
 // exact original position must restore every channel's interference rows —
-// neighbor lists, edge counts, and reported rewired channels all symmetric.
+// neighbors, edge counts, and reported rewired channels all symmetric.
 func TestMoveOutAndBackRestoresRows(t *testing.T) {
 	r := xrand.New(71)
 	positions, owners := randomDeployment(r, 13)
@@ -205,5 +207,73 @@ func TestMoveBuyerErrors(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m.Graph(0).Edges(), edges) {
 		t.Error("rejected move mutated the graph")
+	}
+}
+
+// fig7aMoves returns a fig7a-scale market (10 channels, 320 buyers) and a
+// cycle of short random-direction strides, the shape of the mobile churn
+// workload's moves.
+func fig7aMoves(tb testing.TB) (*Market, []int, []geom.Point) {
+	tb.Helper()
+	m, err := Generate(Config{Sellers: 10, Buyers: 320, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := xrand.New(7)
+	buyers := make([]int, 1024)
+	to := make([]geom.Point, len(buyers))
+	for k := range buyers {
+		j := r.Intn(m.N())
+		p, _ := m.BuyerPos(j)
+		buyers[k] = j
+		to[k] = geom.Point{X: p.X + 1.2*(r.Float64()-0.5), Y: p.Y + 1.2*(r.Float64()-0.5)}
+	}
+	return m, buyers, to
+}
+
+// TestMoveBuyerAllocs: once its scratch exists, MoveBuyer allocates nothing
+// but the channel list it returns — one allocation for a move that flips an
+// edge, none for a move that flips nothing.
+func TestMoveBuyerAllocs(t *testing.T) {
+	m, _, _ := fig7aMoves(t)
+	j := 3
+	home, _ := m.BuyerPos(j)
+	away := geom.Point{X: home.X + 4, Y: home.Y}
+	flips := false
+	if got := testing.AllocsPerRun(50, func() {
+		out, err := m.MoveBuyer(j, away)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := m.MoveBuyer(j, home)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flips = len(out) > 0 && len(back) > 0
+	}); got > 2 {
+		t.Errorf("out-and-back move pair allocates %v times, want <= 2 (the returned lists)", got)
+	}
+	if !flips {
+		t.Fatal("out-and-back move flipped no edge; the allocation bound is vacuous")
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		if out, err := m.MoveBuyer(j, home); err != nil || len(out) != 0 {
+			t.Fatalf("same-point move: %v, %v", out, err)
+		}
+	}); got != 0 {
+		t.Errorf("same-point move allocates %v times, want 0", got)
+	}
+}
+
+// BenchmarkMoveBuyer measures one move on a fig7a-scale market.
+func BenchmarkMoveBuyer(b *testing.B) {
+	m, buyers, to := fig7aMoves(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		x := k % len(buyers)
+		if _, err := m.MoveBuyer(buyers[x], to[x]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

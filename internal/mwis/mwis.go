@@ -197,8 +197,8 @@ func ratioGWMIN(g *graph.Graph, weights []float64, alive graph.Bits, v int) floa
 func ratioGWMIN2(g *graph.Graph, weights []float64, alive graph.Bits, v int) float64 {
 	closed := weights[v]
 	// Sum over alive neighbors. Bit iteration over Row(v) AND alive visits
-	// vertices in ascending ID order — the same order the sorted neighbor
-	// lists gave — so the float accumulation is bit-for-bit unchanged.
+	// vertices in ascending ID order — the order graph.EachNeighbor
+	// guarantees — so the float accumulation is bit-for-bit reproducible.
 	row := g.Row(v)
 	for i, w := range row {
 		w &= alive[i]

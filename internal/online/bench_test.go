@@ -7,14 +7,15 @@ import (
 	"specmatch/internal/market"
 )
 
-// benchmarkChurn drives the same deterministic churn-heavy trace through a
-// fresh session per iteration; disable toggles the incremental engine off.
-func benchmarkChurn(b *testing.B, sellers, buyers int, disable bool) {
+// benchmarkTrace replays gen's deterministic 64-step trace (seed 99) through
+// a fresh session per iteration; disable toggles the incremental engine off.
+func benchmarkTrace(b *testing.B, sellers, buyers int, disable bool, gen func(*market.Market, int64, int) []Event) {
 	m, err := market.Generate(market.Config{Sellers: sellers, Buyers: buyers, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	events := SyntheticChurn(m, 99, 64)
+	events := gen(m, 99, 64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
 		b.StopTimer()
@@ -31,5 +32,9 @@ func benchmarkChurn(b *testing.B, sellers, buyers int, disable bool) {
 	}
 }
 
-func BenchmarkChurnIncremental(b *testing.B) { benchmarkChurn(b, 10, 320, false) }
-func BenchmarkChurnFullRepair(b *testing.B)  { benchmarkChurn(b, 10, 320, true) }
+func BenchmarkChurnIncremental(b *testing.B) { benchmarkTrace(b, 10, 320, false, SyntheticChurn) }
+func BenchmarkChurnFullRepair(b *testing.B)  { benchmarkTrace(b, 10, 320, true, SyntheticChurn) }
+
+func BenchmarkMobileChurnIncremental(b *testing.B) {
+	benchmarkTrace(b, 10, 320, false, SyntheticMobileChurn)
+}

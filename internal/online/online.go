@@ -40,6 +40,7 @@ import (
 
 	"specmatch/internal/core"
 	"specmatch/internal/geom"
+	"specmatch/internal/graph"
 	"specmatch/internal/market"
 	"specmatch/internal/matching"
 	"specmatch/internal/trace"
@@ -152,6 +153,11 @@ type Session struct {
 	// bit-identical (the differential harness in this package proves it);
 	// the incremental one skips the per-step effective-market rebuild.
 	inc *core.Incremental
+
+	// churn and movedOld are reusable per-step buffers: the step's
+	// effective transitions, and the bitset behind churn.MovedOldNbrs.
+	churn    core.Churn
+	movedOld graph.Bits
 }
 
 // NewSession starts a session on the given market with no active buyers and
@@ -259,7 +265,8 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 	}
 	// ch collects the effective transitions (no-op entries are dropped
 	// above each append) for the incremental engine's delta pass.
-	var ch core.Churn
+	ch := &s.churn
+	ch.Reset()
 	for _, j := range ev.Depart {
 		if !s.active[j] {
 			continue
@@ -285,10 +292,11 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		st.ChannelsDown++
 		ch.ChannelsDown = append(ch.ChannelsDown, i)
 		// The reclaiming seller displaces her whole coalition.
-		for _, j := range s.mu.Coalition(i) {
+		from := len(ch.Displaced)
+		ch.Displaced = s.mu.AppendMembers(i, ch.Displaced)
+		for _, j := range ch.Displaced[from:] {
 			s.mu.Unassign(j)
 			st.Displaced++
-			ch.Displaced = append(ch.Displaced, j)
 		}
 	}
 	for _, i := range ev.ChannelUp {
@@ -299,15 +307,19 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		st.ChannelsUp++
 		ch.ChannelsUp = append(ch.ChannelsUp, i)
 	}
+	if len(ev.Move) > 0 {
+		if s.movedOld == nil {
+			s.movedOld = graph.NewBits(s.base.N())
+		}
+		s.movedOld.Reset()
+		ch.MovedOldNbrs = s.movedOld
+	}
 	for _, mv := range ev.Move {
 		j := mv.Buyer
 		// The pre-move neighborhood seeds the dirty closure alongside the
 		// post-move one: dissolved conflicts free the old neighbors too.
 		for i := 0; i < s.base.M(); i++ {
-			s.base.Graph(i).EachNeighbor(j, func(k int) bool {
-				ch.MovedOldNbrs = append(ch.MovedOldNbrs, k)
-				return true
-			})
+			s.movedOld.Or(s.base.Graph(i).Row(j))
 		}
 		rewired, err := s.base.MoveBuyer(j, mv.To)
 		if err != nil {
@@ -320,7 +332,7 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		// Only j's edges changed, so only j's own seat can have become
 		// conflicted; the mover, not the incumbent, loses it.
 		if i := s.mu.SellerOf(j); i != market.Unmatched {
-			if s.base.InterfererIn(i, j, s.mu.Coalition(i)) {
+			if s.base.Graph(i).ConflictsMask(j, s.mu.Members(i)) {
 				s.mu.Unassign(j)
 				st.Displaced++
 				ch.Displaced = append(ch.Displaced, j)
@@ -339,7 +351,7 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		if s.inc == nil {
 			s.inc = core.NewIncremental(s.base, s.opts)
 		}
-		res, err = s.inc.Step(s.mu, ch, s.active, s.offline, span.Context())
+		res, err = s.inc.Step(s.mu, *ch, s.active, s.offline, span.Context())
 	}
 	if err != nil {
 		return st, fmt.Errorf("online: repair: %w", err)
