@@ -1,9 +1,10 @@
-# Developer entry points. Everything is plain `go` underneath; the targets
-# just pin the invocations the README documents.
+# Developer entry points. Everything is plain `go` underneath, the
+# end-to-end scenarios included; the targets just pin the invocations the
+# README documents.
 
 GO ?= go
 
-.PHONY: all build test test-short race bench benchcheck baseline figures check fmt vet clean serve-smoke trace-smoke crash-smoke churn-smoke compat-smoke replica-smoke mon-smoke soak-smoke
+.PHONY: all build test test-short race bench benchcheck baseline figures check fmt vet clean e2e
 
 all: build test
 
@@ -41,60 +42,14 @@ baseline:
 figures:
 	$(GO) run ./cmd/specbench -figure all -reps 20 -check
 
-# End-to-end smoke of the serving path: specserved + specload at ≥1000
-# req/s, zero lost events, clean SIGTERM drain, non-empty metrics dump.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# End-to-end smoke of the tracing path: specserved under specload, SIGQUIT
-# flight-recorder dump while serving, specstrace -check reassembles it with
-# zero orphan spans and the full request chain present.
-trace-smoke:
-	./scripts/trace_smoke.sh
-
-# End-to-end crash injection of the durable path: specserved with a WAL,
-# SIGKILLed under ≥1000 acked events/s of specload churn, restarted over the
-# same data dir, and verified against the client's ledger — every acked
-# event durable, recovered state bit-for-bit equal to a replay.
-crash-smoke:
-	./scripts/crash_smoke.sh
-
-# End-to-end smoke of the incremental churn engine: specserved under a
-# churn-heavy specload mix, accepted == applied reconciliation, live
-# core.incremental.* counters, and the -disable-incremental escape hatch.
-churn-smoke:
-	./scripts/churn_smoke.sh
-
-# End-to-end failover injection of the replication path: a leader plus a
-# WAL-streaming follower, the leader SIGKILLed under ≥2000 acked events/s
-# of cluster-routed specload churn, the follower promoted over HTTP, and
-# the ledger verified against the promoted node — zero acked-and-lost
-# events across the failover, both data dirs specwal-clean.
-replica-smoke:
-	./scripts/replica_smoke.sh
-
-# Fleet-telemetry smoke: leader + follower under churny specload, specmon
-# -check green against the live cluster, a provoked overload captured as an
-# anomaly evidence pair (flight dump + CPU profile) listed by /debug/evidence
-# and specmon, clean drains, and specwal-clean data dirs afterwards.
-mon-smoke:
-	./scripts/mon_smoke.sh
-
-# Long-run scenario soak: leader + follower under a 5-minute specload
-# -scenario mobile,diurnal,flash workload (diurnal Poisson waves, flash
-# crowds, random-waypoint Move events), specmon -check green mid-soak,
-# zero lost events, ledger verified, a rebuild-policy welfare drift report,
-# and both data dirs specwal-clean. SOAK_DURATION/SOAK_PERIOD/SOAK_RPS
-# shrink or scale the soak.
-soak-smoke:
-	./scripts/soak_smoke.sh
-
-# Schema-compatibility smoke: recover the committed v0-generation data dir
-# with the current binary, check it against its pinned state, drive the v1
-# binary wire format and a fork against it, and run `specwal` verify on
-# both generations of the same directory.
-compat-smoke:
-	./scripts/compat_smoke.sh
+# End-to-end scenarios against real processes (internal/e2e): specserved
+# nodes driven by specload and checked with specwal, specmon and specstrace.
+# The scenarios are serve, trace, churn, crash, replica, mon, soak and
+# compat; -short cuts the soak from 5 minutes to 20 s. E2E_OUT=<dir> keeps
+# a failed scenario's logs, reports and data dirs under <dir>/<scenario>.
+# -count=1 because the test cache cannot see the binaries' sources.
+e2e:
+	RUN_E2E=1 $(GO) test -short -count=1 -v -timeout 15m ./internal/e2e/
 
 check: vet test-short
 

@@ -10,8 +10,8 @@
 //	specload -addr 127.0.0.1:7937 -sessions 8 -concurrency 8 -duration 5s -report -
 //
 // Exit status is non-zero when events were lost or the measured rate falls
-// short of -min-rps, which is what lets `make serve-smoke` assert the
-// serving path instead of eyeballing it. -binary switches the event posts
+// short of -min-rps, which is what lets the end-to-end harness
+// (internal/e2e) assert the serving path instead of eyeballing it. -binary switches the event posts
 // to the canonical binary eventlog batch format (the same bytes the server
 // logs to its WAL), exercising the unified schema end to end.
 package main

@@ -68,8 +68,6 @@ func run(args []string, out io.Writer) error {
 		maxSessions    = fs.Int("max-sessions", 16384, "cap on live sessions across all shards")
 		requestTimeout = fs.Duration("request-timeout", 5*time.Second, "per-request deadline")
 		drainTimeout   = fs.Duration("drain-timeout", 10*time.Second, "bound on the SIGTERM graceful drain")
-		engineWorkers  = fs.Int("engine-workers", 1, "core engine fan-out per session step (1 = sequential; shards already parallelize)")
-		disableInc     = fs.Bool("disable-incremental", false, "run every event through a full repair instead of the incremental churn engine (escape hatch; output is bit-identical either way)")
 		metricsJSON    = fs.String("metrics-json", "", "write a final metrics snapshot JSON to this path ('-' = stdout) on clean exit")
 		flightCap      = fs.Int("flight", 1<<16, "flight-recorder capacity in spans, a bounded ring always recording (0 disables tracing)")
 		traceDump      = fs.String("trace-dump", "specserved-trace.json", "flight-recorder dump path, written on SIGQUIT, on any 5xx (rate-limited), and at drain")
@@ -124,7 +122,7 @@ func run(args []string, out io.Writer) error {
 		QueueDepth:      *queueDepth,
 		MaxSessions:     *maxSessions,
 		RequestTimeout:  *requestTimeout,
-		Engine:          core.Options{Workers: *engineWorkers, DisableIncremental: *disableInc},
+		Engine:          core.Options{Workers: 1}, // shards already parallelize across sessions
 		Metrics:         reg,
 		Flight:          fl,
 		OnServerError:   dump.onServerError,

@@ -62,9 +62,9 @@ type Options struct {
 	// DisableIncremental forces online sessions onto the full recompute path:
 	// every Step rebuilds the effective sub-market and runs core.Repair from
 	// scratch instead of stepping the session's persistent Incremental engine.
-	// Output is bit-identical either way — the knob exists as an escape hatch
-	// and so benchmarks and the differential test harness can price one path
-	// against the other.
+	// Output is bit-identical either way. The full path is the reference:
+	// the differential test harness checks the incremental engine against
+	// it, and benchmarks price one path against the other.
 	DisableIncremental bool
 
 	// Recorder, when non-nil, receives one event per protocol step.

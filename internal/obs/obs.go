@@ -295,8 +295,9 @@ func (b Bucket) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON is the inverse of MarshalJSON, so clients of the HTTP
-// snapshot endpoints (specload's reconciliation pass, the serve-smoke
-// harness) can decode a /debug/metrics payload back into a Snapshot.
+// snapshot endpoints (specload's reconciliation pass, the end-to-end
+// harness in internal/e2e) can decode a /debug/metrics payload back into a
+// Snapshot.
 func (b *Bucket) UnmarshalJSON(data []byte) error {
 	var raw struct {
 		LE    string `json:"le"`
