@@ -214,29 +214,14 @@ func run(args []string, out io.Writer) error {
 }
 
 // dumpFlight writes the flight recorder as Chrome trace-event JSON,
-// atomically (tmp + rename) so a concurrent reader never sees a torn file.
-// No-op with a nil flight or empty path.
+// atomically (see trace.WriteChromeFlightFile). No-op with a nil flight or
+// empty path.
 func dumpFlight(fl *trace.Flight, path string, out io.Writer, reason string) {
 	if fl == nil || path == "" {
 		return
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := trace.WriteChromeFlightFile(path, fl); err != nil {
 		fmt.Fprintf(out, "flight recorder: dump failed: %v\n", err)
-		return
-	}
-	werr := trace.WriteChromeFlight(f, fl)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr != nil {
-		_ = os.Remove(tmp)
-		fmt.Fprintf(out, "flight recorder: dump failed: %v\n", werr)
 		return
 	}
 	fmt.Fprintf(out, "flight recorder: dumped %d spans to %s (%s)\n", len(fl.Snapshot()), path, reason)

@@ -276,23 +276,8 @@ func (d *traceDumper) dump(reason string) {
 	if !d.gate.Allow(reason) {
 		return
 	}
-	tmp := d.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := trace.WriteChromeFlightFile(d.path, d.fl); err != nil {
 		fmt.Fprintf(d.out, "flight recorder: dump failed: %v\n", err)
-		return
-	}
-	werr := trace.WriteChromeFlight(f, d.fl)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, d.path)
-	}
-	if werr != nil {
-		_ = os.Remove(tmp)
-		fmt.Fprintf(d.out, "flight recorder: dump failed: %v\n", werr)
 		return
 	}
 	n := len(d.fl.Snapshot())

@@ -29,11 +29,10 @@ func (sb *sendBuffer) drain() []simnet.Message {
 
 // BuyerNode is a transport-agnostic buyer protocol endpoint.
 type BuyerNode struct {
-	b          *buyerAgent
-	buf        *sendBuffer
-	met        *msgMeter
-	fl         *trace.Flight
-	spanParent trace.SpanContext
+	b   *buyerAgent
+	buf *sendBuffer
+	met *msgMeter
+	fl  *trace.Flight
 }
 
 // NewBuyerNode creates the endpoint for buyer id. The config's network
@@ -52,13 +51,10 @@ func NewBuyerNode(id int, m *market.Market, cfg Config) *BuyerNode {
 	}
 }
 
-// SetSpanParent sets the default parent for spans recorded by Deliver — the
-// transport's current tick or frame span.
-func (n *BuyerNode) SetSpanParent(sc trace.SpanContext) { n.spanParent = sc }
-
-// Deliver feeds one inbound message to the state machine.
+// Deliver feeds one inbound message to the state machine; its agent.handle
+// span is a trace root.
 func (n *BuyerNode) Deliver(msg simnet.Message) {
-	n.DeliverTraced(msg, n.spanParent)
+	n.DeliverTraced(msg, trace.SpanContext{})
 }
 
 // DeliverTraced is Deliver under an explicit trace parent, recording one
@@ -93,11 +89,10 @@ func (n *BuyerNode) MatchedTo() int { return n.b.matchedTo }
 
 // SellerNode is a transport-agnostic seller protocol endpoint.
 type SellerNode struct {
-	s          *sellerAgent
-	buf        *sendBuffer
-	met        *msgMeter
-	fl         *trace.Flight
-	spanParent trace.SpanContext
+	s   *sellerAgent
+	buf *sendBuffer
+	met *msgMeter
+	fl  *trace.Flight
 }
 
 // NewSellerNode creates the endpoint for seller id.
@@ -113,12 +108,10 @@ func NewSellerNode(id int, m *market.Market, cfg Config) *SellerNode {
 	}
 }
 
-// SetSpanParent sets the default parent for spans recorded by Deliver.
-func (n *SellerNode) SetSpanParent(sc trace.SpanContext) { n.spanParent = sc }
-
-// Deliver feeds one inbound message to the state machine.
+// Deliver feeds one inbound message to the state machine; its agent.handle
+// span is a trace root.
 func (n *SellerNode) Deliver(msg simnet.Message) {
-	n.DeliverTraced(msg, n.spanParent)
+	n.DeliverTraced(msg, trace.SpanContext{})
 }
 
 // DeliverTraced is Deliver under an explicit trace parent, recording one

@@ -229,7 +229,10 @@ func (f *Follower) streamOnce(shard int) error {
 		}
 		batch := []wal.Record{rec}
 		for len(batch) < 1024 {
-			more, ok := bufferedRecord(br)
+			more, ok, err := bufferedRecord(br)
+			if err != nil {
+				return err
+			}
 			if !ok {
 				break
 			}
@@ -255,24 +258,26 @@ func (f *Follower) streamOnce(shard int) error {
 }
 
 // bufferedRecord decodes one record if (and only if) a complete frame is
-// already sitting in the bufio buffer — it never blocks on the socket.
-func bufferedRecord(br *bufio.Reader) (wal.Record, bool) {
+// already sitting in the bufio buffer — it never blocks on the socket. A
+// frame that is buffered but fails to decode is an error, not ok=false: its
+// bytes are consumed by then, so reading on would skip the record.
+func bufferedRecord(br *bufio.Reader) (wal.Record, bool, error) {
 	if br.Buffered() < 8 {
-		return wal.Record{}, false
+		return wal.Record{}, false, nil
 	}
 	hdr, err := br.Peek(8)
 	if err != nil {
-		return wal.Record{}, false
+		return wal.Record{}, false, nil
 	}
 	plen := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	if plen < 0 || br.Buffered() < 8+plen {
-		return wal.Record{}, false
+	if br.Buffered() < 8+plen {
+		return wal.Record{}, false, nil
 	}
 	rec, err := wal.ReadRecord(br)
 	if err != nil {
-		return wal.Record{}, false
+		return wal.Record{}, false, err
 	}
-	return rec, true
+	return rec, true, nil
 }
 
 // pollLeader keeps the leader-side LSN high-waters (and hence the lag

@@ -66,9 +66,6 @@ type AnomalyConfig struct {
 	// p99 exceeds P99Factor × the trailing baseline is anomalous. Zero
 	// means 4.
 	P99Factor float64
-	// MinCount is the fewest requests a window needs before its p99 is
-	// judged (tiny windows have meaningless quantiles). Zero means 50.
-	MinCount int64
 	// QueueFrac is the saturation trigger: any shard whose queue_depth
 	// gauge reaches QueueFrac × QueueDepth is anomalous. Zero means 0.9.
 	QueueFrac float64
@@ -79,9 +76,6 @@ type AnomalyConfig struct {
 	// one bad interval is noise, Sustain of them is a capture. Zero
 	// means 3.
 	Sustain int
-	// Baseline bounds the trailing p99 samples the latency baseline
-	// averages over. Zero means 30.
-	Baseline int
 	// RateLimit is the per-trigger-type capture budget. Zero means 60s;
 	// negative disables rate limiting.
 	RateLimit time.Duration
@@ -90,12 +84,18 @@ type AnomalyConfig struct {
 	ProfileDuration time.Duration
 }
 
+const (
+	// minP99Count is the fewest requests a window needs before its p99 is
+	// judged (tiny windows have meaningless quantiles).
+	minP99Count = 50
+	// baselineWindows bounds the trailing calm-window p99s the latency
+	// baseline averages over.
+	baselineWindows = 30
+)
+
 func (c AnomalyConfig) withDefaults() AnomalyConfig {
 	if c.P99Factor <= 0 {
 		c.P99Factor = 4
-	}
-	if c.MinCount <= 0 {
-		c.MinCount = 50
 	}
 	if c.QueueFrac <= 0 {
 		c.QueueFrac = 0.9
@@ -105,9 +105,6 @@ func (c AnomalyConfig) withDefaults() AnomalyConfig {
 	}
 	if c.Sustain <= 0 {
 		c.Sustain = 3
-	}
-	if c.Baseline <= 0 {
-		c.Baseline = 30
 	}
 	if c.RateLimit == 0 {
 		c.RateLimit = time.Minute
@@ -185,7 +182,7 @@ func (w *Watchdog) Observe(win obs.Window) {
 			}
 		}
 	}
-	if merged.Count >= w.cfg.MinCount {
+	if merged.Count >= minP99Count {
 		p99 := merged.Quantile(0.99)
 		base := w.baseline()
 		if base > 0 && p99 > w.cfg.P99Factor*base {
@@ -193,8 +190,8 @@ func (w *Watchdog) Observe(win obs.Window) {
 		} else {
 			w.streaks["p99"] = 0
 			w.p99s = append(w.p99s, p99)
-			if len(w.p99s) > w.cfg.Baseline {
-				w.p99s = w.p99s[len(w.p99s)-w.cfg.Baseline:]
+			if len(w.p99s) > baselineWindows {
+				w.p99s = w.p99s[len(w.p99s)-baselineWindows:]
 			}
 		}
 	}
@@ -265,38 +262,17 @@ func (w *Watchdog) fire(trigger, detail string) {
 		w.reg.Counter("server.anomaly.capture_errors").Inc()
 		return
 	}
+	// The flight dump goes next to the profile; without a flight recorder
+	// there is only the profile.
 	stem := filepath.Join(w.dir, fmt.Sprintf("anomaly-%s-%d", trigger, time.Now().UnixMilli()))
-	if w.dumpFlight(stem + ".trace.json") {
-		w.reg.Counter("server.anomaly.captures").Inc()
+	if w.fl.Enabled() {
+		if err := trace.WriteChromeFlightFile(stem+".trace.json", w.fl); err != nil {
+			w.reg.Counter("server.anomaly.capture_errors").Inc()
+		} else {
+			w.reg.Counter("server.anomaly.captures").Inc()
+		}
 	}
 	w.profile(stem + ".pprof")
-}
-
-// dumpFlight atomically writes the flight recorder as a Chrome trace next
-// to the profile. No-op without a flight recorder.
-func (w *Watchdog) dumpFlight(path string) bool {
-	if !w.fl.Enabled() {
-		return false
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		w.reg.Counter("server.anomaly.capture_errors").Inc()
-		return false
-	}
-	err = trace.WriteChromeFlight(f, w.fl)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		w.reg.Counter("server.anomaly.capture_errors").Inc()
-		return false
-	}
-	return true
 }
 
 // profile captures a CPU profile asynchronously. The runtime allows one

@@ -58,7 +58,7 @@ func testWatchdog(t *testing.T, dir string, cfg AnomalyConfig) (*Watchdog, *obs.
 func TestWatchdogP99Trigger(t *testing.T) {
 	dir := t.TempDir()
 	wd, reg := testWatchdog(t, dir, AnomalyConfig{
-		Sustain: 2, MinCount: 1, RateLimit: -1, ProfileDuration: 20 * time.Millisecond,
+		Sustain: 2, RateLimit: -1, ProfileDuration: 20 * time.Millisecond,
 	})
 
 	// Calm traffic builds the baseline; nothing may fire.

@@ -1,8 +1,9 @@
 package server
 
 // Point-in-time session forks. A fork replays a session's durable prefix —
-// newest checkpoint plus id-filtered log records up to a caller-chosen LSN —
-// into a brand-new live session on its own shard. Phase one runs on the
+// newest checkpoint plus id-filtered log records up to a caller-chosen LSN,
+// through the same applyRecord and restore that recovery uses — into a
+// brand-new live session on its own shard. Phase one runs on the
 // source shard and only reads (sync the log, scan the directory, replay in
 // memory), so a crash mid-fork leaves no trace; phase two inserts the child
 // under a fresh id and logs one self-contained wal.TypeFork record carrying
@@ -97,11 +98,7 @@ func (st *Store) Fork(ctx context.Context, id string, lsn uint64) (ForkResult, e
 			d = dst.prepareDurable(wal.TypeFork,
 				eventlog.Fork{ID: newID, From: id, AtLSN: fs.at, Spec: fs.spec, State: fs.state}.Encode())
 		}
-		m, err := market.FromSpec(fs.spec)
-		if err != nil {
-			return nil, fmt.Errorf("server: fork: rebuilding market: %w", err)
-		}
-		s, err := online.FromSnapshot(m, fs.state, st.sessionOptions())
+		s, err := st.restore(fs.spec, fs.state)
 		if err != nil {
 			return nil, fmt.Errorf("server: fork: restoring state: %w", err)
 		}
@@ -120,12 +117,12 @@ func (st *Store) Fork(ctx context.Context, id string, lsn uint64) (ForkResult, e
 
 // assembleFork rebuilds session id's state at LSN at from a shard scan:
 // start from the checkpoint's copy if the session is in it, then replay the
-// session's own records with checkpoint LSN < record LSN ≤ at. The engine's
-// bit-determinism makes the result exactly the state the live session had
-// when the shard's LSN counter stood at at.
+// records with checkpoint LSN < record LSN ≤ at through applyRecord into a
+// one-entry session map, skipping every other session's records. The
+// engine's bit-determinism makes the result exactly the state the live
+// session had when the shard's LSN counter stood at at.
 func (st *Store) assembleFork(id string, at uint64, recd *wal.Recovered) (forkedState, error) {
-	var s *online.Session
-	var m *market.Market
+	sessions := make(map[string]*online.Session, 1)
 	if len(recd.SnapshotBody) > 0 {
 		cp, err := eventlog.DecodeCheckpoint(recd.SnapshotBody)
 		if err != nil {
@@ -135,84 +132,27 @@ func (st *Store) assembleFork(id string, at uint64, recd *wal.Recovered) (forked
 			if sc.ID != id {
 				continue
 			}
-			if m, err = market.FromSpec(sc.Spec); err == nil {
-				s, err = online.FromSnapshot(m, sc.State, st.sessionOptions())
-			}
+			s, err := st.restore(sc.Spec, sc.State)
 			if err != nil {
 				return forkedState{}, fmt.Errorf("server: fork: restoring %s from checkpoint: %w", id, err)
 			}
+			sessions[id] = s
 			break
 		}
 	}
+	var maxID uint64 // the child's id is minted by Fork, not recovered
 	for _, r := range recd.Records {
 		if r.LSN > at {
 			break
 		}
-		switch r.Type {
-		case wal.TypeCreate:
-			b, err := eventlog.DecodeCreate(r.Body)
-			if err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: lsn %d: %w", r.LSN, err)
-			}
-			if b.ID != id {
-				continue
-			}
-			if m, err = market.FromSpec(b.Spec); err == nil {
-				s, err = online.NewSession(m, st.sessionOptions())
-			}
-			if err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: lsn %d: %w", r.LSN, err)
-			}
-		case wal.TypeFork:
-			b, err := eventlog.DecodeFork(r.Body)
-			if err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: lsn %d: %w", r.LSN, err)
-			}
-			if b.ID != id {
-				continue
-			}
-			if m, err = market.FromSpec(b.Spec); err == nil {
-				s, err = online.FromSnapshot(m, b.State, st.sessionOptions())
-			}
-			if err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: lsn %d: %w", r.LSN, err)
-			}
-		case wal.TypeStep:
-			b, err := eventlog.DecodeStep(r.Body)
-			if err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: lsn %d: %w", r.LSN, err)
-			}
-			if b.ID != id || s == nil {
-				continue
-			}
-			if _, err := s.Step(b.Event); err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: replaying lsn %d: %w", r.LSN, err)
-			}
-		case wal.TypeRebuild:
-			b, err := eventlog.DecodeRef(r.Body)
-			if err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: lsn %d: %w", r.LSN, err)
-			}
-			if b.ID != id || s == nil {
-				continue
-			}
-			if _, err := s.Rebuild(true); err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: replaying lsn %d: %w", r.LSN, err)
-			}
-		case wal.TypeDelete:
-			b, err := eventlog.DecodeRef(r.Body)
-			if err != nil {
-				return forkedState{}, fmt.Errorf("server: fork: lsn %d: %w", r.LSN, err)
-			}
-			if b.ID == id {
-				// Ids are never reused, so a delete for a currently-live id
-				// cannot be in the log; scanning one means the dir and the
-				// session map disagree.
-				return forkedState{}, fmt.Errorf("server: fork: lsn %d deletes %s while it is live", r.LSN, id)
-			}
+		if err := st.applyRecord(sessions, id, r, &maxID); err != nil {
+			return forkedState{}, fmt.Errorf("server: fork: replaying lsn %d: %w", r.LSN, err)
 		}
 	}
-	if s == nil {
+	// A missing session was created after at — or deleted, which a live id
+	// never is, since ids are not reused.
+	s, ok := sessions[id]
+	if !ok {
 		return forkedState{}, fmt.Errorf("%w: session %s did not exist at lsn %d", ErrLSNHorizon, id, at)
 	}
 	// The spec must come from the session's own market, not the one it was

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"specmatch/internal/eventlog"
-	"specmatch/internal/market"
 	"specmatch/internal/online"
 	"specmatch/internal/replica"
 	"specmatch/internal/trace"
@@ -88,7 +87,7 @@ func (st *Store) ApplyReplicated(ctx context.Context, shardIdx int, recs []wal.R
 				if r.LSN <= sh.nextLSN {
 					continue // already past the shipped point
 				}
-				if err := st.installSnapshot(sh, r, &liveBefore); err != nil {
+				if err := st.installSnapshot(sh, r); err != nil {
 					return nil, err
 				}
 				continue
@@ -99,7 +98,7 @@ func (st *Store) ApplyReplicated(ctx context.Context, shardIdx int, recs []wal.R
 			if r.LSN != sh.nextLSN+1 {
 				return nil, fmt.Errorf("server: replication gap on shard %d: have lsn %d, got %d", shardIdx, sh.nextLSN, r.LSN)
 			}
-			if err := st.applyRecord(sh, r, &maxID); err != nil {
+			if err := st.applyRecord(sh.sessions, "", r, &maxID); err != nil {
 				return nil, fmt.Errorf("server: replicated lsn %d: %w", r.LSN, err)
 			}
 			if r.Type == wal.TypeStep {
@@ -130,18 +129,14 @@ func (st *Store) ApplyReplicated(ctx context.Context, shardIdx int, recs []wal.R
 // installSnapshot replaces a shard's state with a leader checkpoint shipped
 // mid-stream and persists it as this store's own checkpoint — the exact
 // body, so the follower's files stay byte-comparable to the leader's.
-func (st *Store) installSnapshot(sh *shard, r wal.Record, liveBefore *int) error {
+func (st *Store) installSnapshot(sh *shard, r wal.Record) error {
 	cp, err := eventlog.DecodeCheckpoint(r.Body)
 	if err != nil {
 		return fmt.Errorf("server: decoding shipped checkpoint: %w", err)
 	}
 	sessions := make(map[string]*online.Session, len(cp.Sessions))
 	for _, sc := range cp.Sessions {
-		m, err := market.FromSpec(sc.Spec)
-		if err != nil {
-			return fmt.Errorf("server: shipped checkpoint session %s: %w", sc.ID, err)
-		}
-		s, err := online.FromSnapshot(m, sc.State, st.sessionOptions())
+		s, err := st.restore(sc.Spec, sc.State)
 		if err != nil {
 			return fmt.Errorf("server: shipped checkpoint session %s: %w", sc.ID, err)
 		}

@@ -146,18 +146,43 @@ func TestCrossCodecEquivalence(t *testing.T) {
 }
 
 // TestForkEquivalenceEveryPrefix forks one session at every LSN of its
-// durable history and checks each child against an uninterrupted reference
-// replayed to the same prefix — then steps both forward through the rest of
-// the trace, demanding bit-identical StepStats the whole way. Together the
-// two halves say a fork is the session as it was, not merely something
-// similar to it.
+// shard's durable history and checks each child against an uninterrupted
+// reference replayed to the same prefix — then steps it forward through the
+// rest of the trace, demanding bit-identical StepStats the whole way.
+// Together the two halves say a fork is the session as it was, not merely
+// something similar to it. A sibling session's steps interleave with the
+// source's on the one shard, so the fork must skip records that are not its
+// source's; every child is itself forked (replaying its wal.TypeFork record)
+// and the grandchild held to the same checks. The checkpointed case cuts a
+// checkpoint mid-history: forks at or above it restore the source from the
+// checkpoint before replaying the log, and forks below it are refused with
+// ErrLSNHorizon.
 func TestForkEquivalenceEveryPrefix(t *testing.T) {
-	dir := t.TempDir()
-	st := mustStore(t, durableConfig(dir, 1)) // one shard: LSNs are dense and ours alone
-	defer st.Close()
-	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		ckptEvery int
+		wantCkpt  uint64 // the checkpoint LSN the setup's 38 records leave
+	}{
+		{name: "log", ckptEvery: -1, wantCkpt: 0},
+		{name: "checkpointed", ckptEvery: 32, wantCkpt: 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := durableConfig(t.TempDir(), 1) // one shard: every record shares one LSN sequence
+			cfg.CheckpointEvery = tc.ckptEvery
+			st := mustStore(t, cfg)
+			defer st.Close()
+			testForkEveryPrefix(t, st, tc.wantCkpt)
+		})
+	}
+}
 
+func testForkEveryPrefix(t *testing.T, st *Store, wantCkpt uint64) {
+	ctx := context.Background()
 	m, err := market.Generate(market.Config{Sellers: 3, Buyers: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibM, err := market.Generate(market.Config{Sellers: 2, Buyers: 8, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,26 +190,83 @@ func TestForkEquivalenceEveryPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sib, _, err := st.Create(ctx, sibM) // LSN 2
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Mobile churn: the trace carries Move events, so every fork must come
 	// back with the session's post-move geometry and graphs (the spec is
 	// taken from the session's own market), not the create-time deployment.
-	trace := online.SyntheticMobileChurn(m, 17, 25)
-	for _, ev := range trace { // LSNs 2..len(trace)+1
-		if _, err := st.Step(ctx, id, ev); err != nil {
+	trace := online.SyntheticMobileChurn(m, 17, 24)
+	sibTrace := online.SyntheticChurn(sibM, 23, len(trace)/2)
+	// applied[lsn] is how many of the source's events the shard had logged
+	// through lsn; the sibling steps after every other source event.
+	applied := []int{0, 0, 0} // LSNs 0..2: nothing, the two creates
+	step := func(sid string, ev online.Event) {
+		t.Helper()
+		res, err := st.StepBatch(ctx, sid, []online.Event{ev})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if res[0].LSN != uint64(len(applied)) {
+			t.Fatalf("step logged at lsn %d, want %d", res[0].LSN, len(applied))
+		}
 	}
-	tail := uint64(len(trace) + 1)
+	for k, ev := range trace {
+		step(id, ev)
+		applied = append(applied, k+1)
+		if k%2 == 1 {
+			step(sib, sibTrace[k/2])
+			applied = append(applied, k+1)
+		}
+	}
+	tail := uint64(len(applied) - 1)
+	horizon := st.ShardStatuses()[0].CheckpointLSN
+	if horizon != wantCkpt {
+		t.Fatalf("setup left the checkpoint at lsn %d, want %d", horizon, wantCkpt)
+	}
 
+	// Pass one takes every fork (and a fork of each child) before anything
+	// is stepped forward, so no checkpoint lands under the later forks: in
+	// the checkpointed case it logs 2 records for each of the 7 forks at
+	// LSN 32..38, and 6 + 14 records stay under CheckpointEvery.
+	type forked struct {
+		at           uint64
+		child, grand ForkResult
+	}
+	var forks []forked
 	for at := uint64(1); at <= tail; at++ {
 		res, err := st.Fork(ctx, id, at)
+		if at < horizon {
+			if !errors.Is(err, ErrLSNHorizon) {
+				t.Fatalf("fork at lsn %d below the checkpoint at %d: got %v, want ErrLSNHorizon", at, horizon, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("fork at lsn %d: %v", at, err)
 		}
 		if res.AtLSN != at || res.From != id {
 			t.Fatalf("fork at lsn %d reported at_lsn=%d from=%s", at, res.AtLSN, res.From)
 		}
-		prefix := int(at - 1) // events applied by LSN at: steps 1..at-1
+		grand, err := st.Fork(ctx, res.ID, 0)
+		if err != nil {
+			t.Fatalf("fork of the lsn-%d fork: %v", at, err)
+		}
+		if grand.From != res.ID || !reflect.DeepEqual(grand.Snapshot, res.Snapshot) {
+			t.Fatalf("fork of the lsn-%d fork differs from its parent:\n got %+v\nwant %+v", at, grand.Snapshot, res.Snapshot)
+		}
+		forks = append(forks, forked{at: at, child: res, grand: grand})
+	}
+	if got := st.ShardStatuses()[0].CheckpointLSN; got != horizon {
+		t.Fatalf("checkpoint moved from lsn %d to %d while forking", horizon, got)
+	}
+	if len(forks) == 0 {
+		t.Fatal("no fork landed at or above the checkpoint")
+	}
+
+	for _, f := range forks {
+		prefix := applied[f.at]
 
 		// Reference: a fresh session stepped through the same prefix.
 		refM, err := market.FromSpec(m.Spec())
@@ -200,37 +282,42 @@ func TestForkEquivalenceEveryPrefix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if want := refS.Snapshot(); !reflect.DeepEqual(res.Snapshot, want) {
-			t.Fatalf("fork at lsn %d: snapshot differs from reference prefix:\n got %+v\nwant %+v", at, res.Snapshot, want)
+		if want := refS.Snapshot(); !reflect.DeepEqual(f.child.Snapshot, want) {
+			t.Fatalf("fork at lsn %d: snapshot differs from reference prefix:\n got %+v\nwant %+v", f.at, f.child.Snapshot, want)
 		}
 
-		// Forward equivalence: the fork continues exactly as the original did.
+		// Forward equivalence: the fork and its own fork continue exactly as
+		// the original did.
 		for k, ev := range trace[prefix:] {
-			gotStats, err := st.Step(ctx, res.ID, ev)
-			if err != nil {
-				t.Fatalf("fork at lsn %d: stepping child: %v", at, err)
-			}
 			wantStats, err := refS.Step(ev)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotStats != wantStats {
-				t.Fatalf("fork at lsn %d, replayed step %d: stats diverged: %+v vs %+v", at, k, gotStats, wantStats)
+			for _, c := range []string{f.child.ID, f.grand.ID} {
+				gotStats, err := st.Step(ctx, c, ev)
+				if err != nil {
+					t.Fatalf("fork %s at lsn %d: stepping: %v", c, f.at, err)
+				}
+				if gotStats != wantStats {
+					t.Fatalf("fork %s at lsn %d, replayed step %d: stats diverged: %+v vs %+v", c, f.at, k, gotStats, wantStats)
+				}
 			}
-		}
-		final, err := st.Get(ctx, res.ID)
-		if err != nil {
-			t.Fatal(err)
 		}
 		orig, err := st.Get(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(final, orig) {
-			t.Fatalf("fork at lsn %d fully replayed differs from original:\n got %+v\nwant %+v", at, final, orig)
-		}
-		if err := st.Delete(ctx, res.ID); err != nil { // keep the fleet small
-			t.Fatal(err)
+		for _, c := range []string{f.child.ID, f.grand.ID} {
+			final, err := st.Get(ctx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(final, orig) {
+				t.Fatalf("fork %s at lsn %d fully replayed differs from original:\n got %+v\nwant %+v", c, f.at, final, orig)
+			}
+			if err := st.Delete(ctx, c); err != nil { // keep the fleet small
+				t.Fatal(err)
+			}
 		}
 	}
 

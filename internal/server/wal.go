@@ -5,9 +5,11 @@ package server
 // owns bytes and files; internal/eventlog owns the body encoding (v1 binary
 // canonical, v0 JSON still decoded for pre-schema data dirs); this file owns
 // what the records mean — how a shard's session map becomes a checkpoint and
-// how records replay into live sessions. Replay leans on the engine's
-// bit-determinism (same market, same event order ⇒ same matching), so a
-// recovered session is indistinguishable from one that never crashed.
+// how records replay into live sessions. Recovery, follower apply
+// (replica.go) and fork (fork.go) all replay through applyRecord and
+// restore. Replay leans on the engine's bit-determinism (same market, same
+// event order ⇒ same matching), so a recovered, replicated or forked
+// session is indistinguishable from one that never crashed.
 
 import (
 	"encoding/json"
@@ -181,14 +183,10 @@ func (st *Store) replayShard(i int, sh *shard, recd *wal.Recovered, maxID *uint6
 				*maxID = cp.NextID
 			}
 			for _, sc := range cp.Sessions {
-				m, err := market.FromSpec(sc.Spec)
+				s, err := st.restore(sc.Spec, sc.State)
 				if err == nil {
-					var s *online.Session
-					s, err = online.FromSnapshot(m, sc.State, st.sessionOptions())
-					if err == nil {
-						sh.sessions[sc.ID] = s
-						continue
-					}
+					sh.sessions[sc.ID] = s
+					continue
 				}
 				if !st.cfg.WALRepair {
 					return fmt.Errorf("server: shard %d: restoring session %s: %w", i, sc.ID, err)
@@ -199,7 +197,7 @@ func (st *Store) replayShard(i int, sh *shard, recd *wal.Recovered, maxID *uint6
 		}
 	}
 	for k, r := range recd.Records {
-		if err := st.applyRecord(sh, r, maxID); err != nil {
+		if err := st.applyRecord(sh.sessions, "", r, maxID); err != nil {
 			if !st.cfg.WALRepair {
 				return fmt.Errorf("server: shard %d: replaying lsn %d: %w", i, r.LSN, err)
 			}
@@ -216,15 +214,34 @@ func (st *Store) replayShard(i int, sh *shard, recd *wal.Recovered, maxID *uint6
 	return nil
 }
 
-// applyRecord replays one log record against the shard's session map,
-// raising *maxID past every id a create record shows was issued — a session
-// created then deleted between checkpoints appears nowhere else.
-func (st *Store) applyRecord(sh *shard, r wal.Record, maxID *uint64) error {
+// restore rebuilds a live session from a market spec and an engine
+// snapshot. It is the one place a checkpointed, shipped or forked session
+// comes back, so every copy runs the engine options a created session does.
+func (st *Store) restore(spec market.Spec, state online.Snapshot) (*online.Session, error) {
+	m, err := market.FromSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return online.FromSnapshot(m, state, st.sessionOptions())
+}
+
+// applyRecord replays one log record against a session map, raising *maxID
+// past every id a create or fork record shows was issued — a session
+// created then deleted between checkpoints appears nowhere else. It is the
+// only code that decodes and applies log records: recovery and follower
+// apply pass a shard's whole map with only empty; fork passes a one-entry
+// map with only set to the source id, and records for any other session
+// are decoded and skipped.
+func (st *Store) applyRecord(sessions map[string]*online.Session, only string, r wal.Record, maxID *uint64) error {
+	other := func(id string) bool { return only != "" && id != only }
 	switch r.Type {
 	case wal.TypeCreate:
 		b, err := eventlog.DecodeCreate(r.Body)
 		if err != nil {
 			return fmt.Errorf("decoding create: %w", err)
+		}
+		if other(b.ID) {
+			return nil
 		}
 		m, err := market.FromSpec(b.Spec)
 		if err != nil {
@@ -234,41 +251,40 @@ func (st *Store) applyRecord(sh *shard, r wal.Record, maxID *uint64) error {
 		if err != nil {
 			return fmt.Errorf("create %s: %w", b.ID, err)
 		}
-		sh.sessions[b.ID] = s
+		sessions[b.ID] = s
 		bumpIDHighWater(maxID, b.ID)
 	case wal.TypeStep:
 		b, err := eventlog.DecodeStep(r.Body)
 		if err != nil {
 			return fmt.Errorf("decoding step: %w", err)
 		}
-		s, ok := sh.sessions[b.ID]
+		if other(b.ID) {
+			return nil
+		}
+		s, ok := sessions[b.ID]
 		if !ok {
 			return fmt.Errorf("step for unknown session %s", b.ID)
 		}
 		if _, err := s.Step(b.Event); err != nil {
 			return fmt.Errorf("step %s: %w", b.ID, err)
 		}
-	case wal.TypeRebuild:
+	case wal.TypeRebuild, wal.TypeDelete:
 		b, err := eventlog.DecodeRef(r.Body)
 		if err != nil {
-			return fmt.Errorf("decoding rebuild: %w", err)
+			return fmt.Errorf("decoding %s: %w", r.Type, err)
 		}
-		s, ok := sh.sessions[b.ID]
+		if other(b.ID) {
+			return nil
+		}
+		s, ok := sessions[b.ID]
 		if !ok {
-			return fmt.Errorf("rebuild for unknown session %s", b.ID)
+			return fmt.Errorf("%s for unknown session %s", r.Type, b.ID)
 		}
-		if _, err := s.Rebuild(true); err != nil {
+		if r.Type == wal.TypeDelete {
+			delete(sessions, b.ID)
+		} else if _, err := s.Rebuild(true); err != nil {
 			return fmt.Errorf("rebuild %s: %w", b.ID, err)
 		}
-	case wal.TypeDelete:
-		b, err := eventlog.DecodeRef(r.Body)
-		if err != nil {
-			return fmt.Errorf("decoding delete: %w", err)
-		}
-		if _, ok := sh.sessions[b.ID]; !ok {
-			return fmt.Errorf("delete for unknown session %s", b.ID)
-		}
-		delete(sh.sessions, b.ID)
 	case wal.TypeFork:
 		// A fork record is self-contained: the child's complete state at the
 		// moment it split off, replayed exactly like a checkpointed session.
@@ -276,15 +292,14 @@ func (st *Store) applyRecord(sh *shard, r wal.Record, maxID *uint64) error {
 		if err != nil {
 			return fmt.Errorf("decoding fork: %w", err)
 		}
-		m, err := market.FromSpec(b.Spec)
+		if other(b.ID) {
+			return nil
+		}
+		s, err := st.restore(b.Spec, b.State)
 		if err != nil {
 			return fmt.Errorf("fork %s: %w", b.ID, err)
 		}
-		s, err := online.FromSnapshot(m, b.State, st.sessionOptions())
-		if err != nil {
-			return fmt.Errorf("fork %s: %w", b.ID, err)
-		}
-		sh.sessions[b.ID] = s
+		sessions[b.ID] = s
 		bumpIDHighWater(maxID, b.ID)
 	default:
 		return fmt.Errorf("unexpected %s record in log", r.Type)

@@ -260,8 +260,3 @@ func (n *Network) Step() []Message {
 	span.End()
 	return due
 }
-
-// SetSpanParent re-parents subsequent simnet.slot spans, so a caller that
-// opens its run root only after constructing the network can still nest the
-// slots beneath it.
-func (n *Network) SetSpanParent(sc trace.SpanContext) { n.cfg.SpanParent = sc }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"time"
 )
@@ -89,6 +90,29 @@ func WriteChrome(w io.Writer, spans []Span, recorded, overwritten uint64) error 
 // WriteChromeFlight dumps the recorder's current snapshot.
 func WriteChromeFlight(w io.Writer, f *Flight) error {
 	return WriteChrome(w, f.Snapshot(), f.Recorded(), f.Overwritten())
+}
+
+// WriteChromeFlightFile dumps the recorder's current snapshot to path
+// atomically: it writes path+".tmp" and renames it over path, so a reader
+// never sees a torn dump. On failure the tmp file is removed and path is
+// left as it was.
+func WriteChromeFlightFile(path string, f *Flight) error {
+	tmp := path + ".tmp"
+	out, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = WriteChromeFlight(out, f)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // ReadChrome parses a dump produced by WriteChrome back into spans. Events

@@ -226,15 +226,6 @@ func (d *Dir) SetOnDurable(fn DurableFunc) {
 	}
 }
 
-// LogSize returns the current log's size in bytes (0 before the first
-// Checkpoint).
-func (d *Dir) LogSize() int64 {
-	if d.log == nil {
-		return 0
-	}
-	return d.log.Size()
-}
-
 // Checkpoint makes body the durable full state through lsn and truncates
 // the log: sync the old log (releasing its pending acknowledgements), open
 // the next generation's log, write the new snapshot atomically (tmp +
