@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench benchcheck baseline figures check fmt vet clean e2e
+.PHONY: all build test test-short race bench benchcheck benchcheck-engine benchcheck-wal baseline figures check fmt vet clean e2e
 
 all: build test
 
@@ -24,14 +24,21 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Guard the committed engine baseline: exact welfare goldens plus
-# side-by-side timing checks on this machine (default engine within 2x of
-# plain sequential; instrumented engine within 2x of instrumentation off;
-# incremental churn engine faster than full recompute by each case's floor
-# (churnFloor in benchguard_test.go) with bit-identical per-step output; WAL-on serving within 1.25x of WAL-off
-# under a saturating workload).
-benchcheck:
+# Guard the committed baseline: both gate sets below.
+benchcheck: benchcheck-engine benchcheck-wal
+
+# Engine gates: exact welfare goldens plus side-by-side timing checks on
+# this machine (the default engine, which runs with the coalition cache,
+# within 2x of the uncached engine; instrumented engine within 2x of
+# instrumentation off; incremental churn engine faster than full recompute
+# by each case's floor (churnFloor in benchguard_test.go) with
+# bit-identical per-step output).
+benchcheck-engine:
 	RUN_BENCHCHECK=1 $(GO) test -run 'TestBenchBaseline|TestInstrumentationOverhead|TestChurnBaseline' -count=1 -v .
+
+# Serving gate: WAL-on serving within 1.25x of WAL-off under a saturating
+# workload.
+benchcheck-wal:
 	RUN_BENCHCHECK=1 $(GO) test -run 'TestWALOverhead' -count=1 -v ./internal/server/
 
 # Regenerate BENCH_BASELINE.json (run after an intentional behavior change).

@@ -161,10 +161,8 @@ func BenchmarkMatchLarge(b *testing.B) {
 }
 
 // Engine-configuration benchmarks at the Fig. 7(b)/8(b) scale (M = 16,
-// N = 500): sequential vs parallel fan-out, coalition cache on vs off. All
-// four configurations produce bit-identical output, so the deltas here are
-// pure engine cost. On a single-core box the Workers axis is flat by
-// construction; the cache axis still measures real work avoidance.
+// N = 500): coalition cache on vs off. Both configurations produce
+// bit-identical output, so the delta is the cache's work avoidance.
 func benchEngine(b *testing.B, opts core.Options) {
 	b.Helper()
 	m := benchMarket(b, 16, 500)
@@ -176,20 +174,12 @@ func benchEngine(b *testing.B, opts core.Options) {
 	}
 }
 
-func BenchmarkEngineSeqUncached(b *testing.B) {
-	benchEngine(b, core.Options{Workers: 1, DisableCoalitionCache: true})
+func BenchmarkEngineUncached(b *testing.B) {
+	benchEngine(b, core.Options{DisableCoalitionCache: true})
 }
 
-func BenchmarkEngineSeqCached(b *testing.B) {
-	benchEngine(b, core.Options{Workers: 1})
-}
-
-func BenchmarkEngineParUncached(b *testing.B) {
-	benchEngine(b, core.Options{Workers: 0, DisableCoalitionCache: true})
-}
-
-func BenchmarkEngineParCached(b *testing.B) {
-	benchEngine(b, core.Options{Workers: 0})
+func BenchmarkEngineCached(b *testing.B) {
+	benchEngine(b, core.Options{})
 }
 
 func BenchmarkMatchAsync(b *testing.B) {

@@ -35,14 +35,14 @@ type BaselineCase struct {
 	Buyers  int    `json:"buyers"`
 	Seed    int64  `json:"seed"`
 
-	// Exact goldens, identical at every Workers/cache setting.
+	// Exact goldens, identical with the coalition cache on or off.
 	Welfare float64 `json:"welfare"`
 	Matched int     `json:"matched"`
 	Rounds  int     `json:"rounds"`
 
 	// Informational timings from the recording machine: the engine's default
-	// configuration (parallel + coalition cache) versus the pre-optimization
-	// configuration (sequential, cache disabled), best of three runs each.
+	// configuration (coalition cache on) versus the uncached configuration
+	// (SeqNs, cache disabled), best of three runs each.
 	// InstrumentedNs times the default configuration with a live obs
 	// registry attached, recording what the observability layer costs.
 	DefaultNs      int64   `json:"default_ns"`
@@ -181,15 +181,15 @@ func MeasureChurnBaselineCase(c *ChurnBaselineCase) error {
 }
 
 // MeasureBaselineCase fills in one case's goldens and timings, verifying
-// along the way that the optimized default configuration and the plain
-// sequential configuration produce identical results.
+// along the way that the cached default configuration and the uncached
+// configuration produce identical results.
 func MeasureBaselineCase(c *BaselineCase) error {
 	m, err := market.Generate(market.Config{Sellers: c.Sellers, Buyers: c.Buyers, Seed: c.Seed})
 	if err != nil {
 		return fmt.Errorf("generating %s: %w", c.Name, err)
 	}
 	defaultOpts := core.Options{}
-	seqOpts := core.Options{Workers: 1, DisableCoalitionCache: true}
+	uncachedOpts := core.Options{DisableCoalitionCache: true}
 
 	var defRes *core.Result
 	best := func(opts core.Options) (time.Duration, *core.Result, error) {
@@ -213,18 +213,18 @@ func MeasureBaselineCase(c *BaselineCase) error {
 	if err != nil {
 		return fmt.Errorf("%s default run: %w", c.Name, err)
 	}
-	seqDur, seqRes, err := best(seqOpts)
+	uncachedDur, uncachedRes, err := best(uncachedOpts)
 	if err != nil {
-		return fmt.Errorf("%s sequential run: %w", c.Name, err)
+		return fmt.Errorf("%s uncached run: %w", c.Name, err)
 	}
 	instDur, instRes, err := best(core.Options{Metrics: obs.NewRegistry()})
 	if err != nil {
 		return fmt.Errorf("%s instrumented run: %w", c.Name, err)
 	}
-	if defRes.Welfare != seqRes.Welfare || defRes.Matched != seqRes.Matched ||
-		defRes.TotalRounds() != seqRes.TotalRounds() {
-		return fmt.Errorf("%s: default and sequential configurations disagree (welfare %v vs %v)",
-			c.Name, defRes.Welfare, seqRes.Welfare)
+	if defRes.Welfare != uncachedRes.Welfare || defRes.Matched != uncachedRes.Matched ||
+		defRes.TotalRounds() != uncachedRes.TotalRounds() {
+		return fmt.Errorf("%s: default and uncached configurations disagree (welfare %v vs %v)",
+			c.Name, defRes.Welfare, uncachedRes.Welfare)
 	}
 	if instRes.Welfare != defRes.Welfare {
 		return fmt.Errorf("%s: instrumentation changed welfare (%v vs %v)",
@@ -235,10 +235,10 @@ func MeasureBaselineCase(c *BaselineCase) error {
 	c.Matched = defRes.Matched
 	c.Rounds = defRes.TotalRounds()
 	c.DefaultNs = defDur.Nanoseconds()
-	c.SeqNs = seqDur.Nanoseconds()
+	c.SeqNs = uncachedDur.Nanoseconds()
 	c.InstrumentedNs = instDur.Nanoseconds()
 	if defDur > 0 {
-		c.Speedup = float64(seqDur) / float64(defDur)
+		c.Speedup = float64(uncachedDur) / float64(defDur)
 	}
 	c.CacheHits = defRes.Cache.Hits
 	c.CacheIndep = defRes.Cache.Independent
@@ -259,7 +259,7 @@ func writeBaseline(path string, seed int64, out io.Writer) error {
 		if err := MeasureBaselineCase(c); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%-12s M=%-3d N=%-4d welfare %.4f matched %d rounds %d  default %s seq %s instrumented %s (%.2fx)  cache %d/%d/%d\n",
+		fmt.Fprintf(out, "%-12s M=%-3d N=%-4d welfare %.4f matched %d rounds %d  default %s uncached %s instrumented %s (%.2fx)  cache %d/%d/%d\n",
 			c.Name, c.Sellers, c.Buyers, c.Welfare, c.Matched, c.Rounds,
 			time.Duration(c.DefaultNs), time.Duration(c.SeqNs), time.Duration(c.InstrumentedNs), c.Speedup,
 			c.CacheHits, c.CacheIndep, c.CacheMiss)

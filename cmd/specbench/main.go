@@ -31,10 +31,9 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("specbench", flag.ContinueOnError)
 	var (
 		figure      = fs.String("figure", "all", "figure id (6a..8c, ablation-*) or 'all'")
-		reps        = fs.Int("reps", 20, "replications per sweep point")
+		reps        = fs.Int("reps", 20, "replications per sweep point (0 = 20)")
 		seed        = fs.Int64("seed", 1, "base seed")
 		workers     = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		engineW     = fs.Int("engine-workers", 0, "per-round seller fan-out inside each replication (0 = sequential; results identical at every setting)")
 		list        = fs.Bool("list", false, "list available figures and exit")
 		format      = fs.String("format", "table", "output format: table, csv, json")
 		plot        = fs.Bool("plot", false, "render an ASCII chart under each table")
@@ -47,6 +46,11 @@ func run(args []string, out io.Writer) error {
 			return nil // -h/-help already printed usage
 		}
 		return err
+	}
+	// A negative count would run no replication and print an all-zero
+	// figure, so reject it up front.
+	if *reps < 0 || *workers < 0 {
+		return fmt.Errorf("-reps and -workers must not be negative (0 means the default)")
 	}
 
 	if *basePth != "" {
@@ -74,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	if *metricsJSON != "" {
 		reg = obs.NewRegistry()
 	}
-	cfg := experiment.RunConfig{Seed: *seed, Reps: *reps, Workers: *workers, EngineWorkers: *engineW, Metrics: reg}
+	cfg := experiment.RunConfig{Seed: *seed, Reps: *reps, Workers: *workers, Metrics: reg}
 	failures := 0
 	for _, id := range ids {
 		start := time.Now()

@@ -37,6 +37,24 @@ func TestUnknownFigure(t *testing.T) {
 	}
 }
 
+// TestNegativeCounts: a negative -reps or -workers would run no replication
+// and print an all-zero figure, so both are usage errors.
+func TestNegativeCounts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-figure", "6a", "-reps", "-2", "-format", "csv"},
+		{"-figure", "6a", "-reps", "2", "-workers", "-1", "-format", "csv"},
+	} {
+		var out strings.Builder
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Errorf("run %v: err = %v, want a usage error", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %v printed output before failing:\n%s", args, out.String())
+		}
+	}
+}
+
 func TestCSVFormat(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-figure", "6b", "-reps", "2", "-format", "csv"}, &out); err != nil {

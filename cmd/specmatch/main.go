@@ -47,7 +47,6 @@ func run(args []string, out io.Writer) error {
 		verify      = fs.Bool("verify", false, "record the protocol trace and lint it against Algorithms 1-2")
 		compareOpt  = fs.Bool("optimal", false, "also solve the centralized optimum (small markets only)")
 		jsonOut     = fs.Bool("json", false, "emit the result as JSON")
-		workers     = fs.Int("workers", 0, "per-round seller fan-out goroutines (0 = GOMAXPROCS, 1 = sequential; output is identical at every setting)")
 		noCache     = fs.Bool("no-cache", false, "disable the per-seller coalition cache (identical output; for benchmarking)")
 		metricsJSON = fs.String("metrics-json", "", "write an engine metrics snapshot JSON to this path ('-' = stdout)")
 	)
@@ -77,7 +76,6 @@ func run(args []string, out io.Writer) error {
 	}
 	res, err := specmatch.Match(m, specmatch.MatchOptions{
 		MWIS:                  alg,
-		Workers:               *workers,
 		DisableCoalitionCache: *noCache,
 		SkipTransfer:          *skipP1,
 		SkipInvitation:        *skipP2,

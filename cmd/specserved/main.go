@@ -45,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"specmatch/internal/core"
 	"specmatch/internal/obs"
 	"specmatch/internal/replica"
 	"specmatch/internal/server"
@@ -122,7 +121,6 @@ func run(args []string, out io.Writer) error {
 		QueueDepth:      *queueDepth,
 		MaxSessions:     *maxSessions,
 		RequestTimeout:  *requestTimeout,
-		Engine:          core.Options{Workers: 1}, // shards already parallelize across sessions
 		Metrics:         reg,
 		Flight:          fl,
 		OnServerError:   dump.onServerError,

@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"specmatch/internal/market"
 	"specmatch/internal/matching"
@@ -38,14 +37,9 @@ type Options struct {
 	// the paper's linear-time greedy.
 	MWIS mwis.Algorithm
 
-	// Workers bounds the per-round seller fan-out. Within each Stage I round
-	// and each Stage II phase, sellers' coalition decisions depend only on
-	// the round's proposal batch and their own state, so the engine solves
-	// them on up to Workers goroutines and applies all matching mutations
-	// and trace events in seller-ID order afterwards. The output — matching,
-	// welfare, per-stage statistics, and the full protocol trace — is
-	// bit-identical at every setting. Zero means runtime.GOMAXPROCS(0); one
-	// runs fully sequential.
+	// Workers is ignored. The engine is sequential: each round decides and
+	// applies every seller in seller-ID order. The field remains only so
+	// that code which still sets it keeps compiling.
 	Workers int
 
 	// DisableCoalitionCache turns off the per-seller incremental coalition
@@ -95,12 +89,6 @@ func (o Options) withDefaults() Options {
 	if o.MWIS == 0 {
 		o.MWIS = mwis.GWMIN
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
 	return o
 }
 
@@ -140,7 +128,7 @@ type Result struct {
 	Matched int `json:"matched"`
 
 	// Cache reports coalition-cache effectiveness (zero when the cache is
-	// disabled). Identical at every Options.Workers setting.
+	// disabled).
 	Cache CacheStats `json:"cache"`
 }
 
@@ -162,33 +150,43 @@ func Run(m *market.Market, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: stage I: %w", err)
 	}
 	res := &Result{Matching: mu, StageI: stage1}
+	if err := eng.runStageII(mu, res); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	res.Cache = eng.cacheStats()
+	eng.publish(res, eng.solves)
+	annotateRun(&span, res)
+	return res, nil
+}
 
+// runStageII runs Stage II on mu in place — the transfer phase, then the
+// invitation phase, each unless the options skip it — and fills res's
+// Phase1, Phase2, Welfare and Matched. It is the one Stage II driver behind
+// Run, Repair and Incremental.Step.
+func (e *engine) runStageII(mu *matching.Matching, res *Result) error {
 	var inviteLists [][]int
-	if !opts.SkipTransfer {
-		var phase1 StageStats
-		inviteLists, phase1, err = eng.runTransfer(mu)
-		if err != nil {
-			return nil, fmt.Errorf("core: stage II phase 1: %w", err)
+	var err error
+	if !e.opts.SkipTransfer {
+		if inviteLists, res.Phase1, err = e.runTransfer(mu); err != nil {
+			return fmt.Errorf("stage II phase 1: %w", err)
 		}
-		res.Phase1 = phase1
 	}
-	res.Phase1.Welfare = matching.Welfare(m, mu)
-
-	if !opts.SkipInvitation {
-		phase2, err := eng.runInvitation(mu, inviteLists)
-		if err != nil {
-			return nil, fmt.Errorf("core: stage II phase 2: %w", err)
+	res.Phase1.Welfare = e.welfare(mu)
+	if !e.opts.SkipInvitation {
+		if res.Phase2, err = e.runInvitation(mu, inviteLists); err != nil {
+			return fmt.Errorf("stage II phase 2: %w", err)
 		}
-		res.Phase2 = phase2
 	}
-	res.Phase2.Welfare = matching.Welfare(m, mu)
-
+	res.Phase2.Welfare = e.welfare(mu)
 	res.Welfare = res.Phase2.Welfare
 	res.Matched = mu.MatchedCount()
-	res.Cache = eng.cacheStats()
-	eng.publish(res, eng.solves.Load())
+	return nil
+}
+
+// annotateRun labels a run's root span (core.run, core.repair or core.dirty)
+// with the run's outcome.
+func annotateRun(span *trace.SpanHandle, res *Result) {
 	if span.Active() {
 		span.Annotate(fmt.Sprintf("rounds=%d matched=%d welfare=%.6g", res.TotalRounds(), res.Matched, res.Welfare))
 	}
-	return res, nil
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"specmatch/internal/graph"
@@ -17,17 +15,14 @@ import (
 )
 
 // engine holds the per-run state shared by both stages: the materialized
-// price rows, one MWIS solver (reusable scratch buffers) per seller, the
-// per-seller incremental coalition caches, and the bounded worker pool for
-// the per-round seller fan-out.
+// price rows, one MWIS solver (reusable scratch buffers) per seller, and the
+// per-seller incremental coalition caches.
 //
-// Concurrency contract: within a round, seller i's coalition decision reads
-// only the round's immutable inputs (the proposal batch, the coalition
-// snapshot, the market) plus seller-i-private state (her solver, cache, and
-// result slot), so decisions fan out freely over Options.Workers goroutines.
-// All matching mutations and trace events are applied by the caller in
-// seller-ID order afterwards, which makes the output bit-identical to the
-// sequential engine at every worker count.
+// The engine is sequential. Each round decides and applies every seller in
+// seller-ID order, which is the paper's synchronous round: seller i's
+// decision reads only the round's proposal batch (or the coalition snapshot
+// taken before any seller decides) plus seller-i state, so applying seller
+// i's decision never changes what a later seller decides in the same round.
 type engine struct {
 	m    *market.Market
 	opts Options
@@ -46,11 +41,9 @@ type engine struct {
 
 	solvers []mwis.Solver
 	caches  []coalitionCache // nil when Options.DisableCoalitionCache
-	out     [][]int          // per-seller decision slot for the current round
-	errs    []error          // per-seller error slot for the current round
 
-	solves    atomic.Int64 // MWIS solves actually executed (atomic: fan-out)
-	evictions int64        // Stage I evictions (merged in seller-ID order)
+	solves    int64 // MWIS solves actually executed
+	evictions int64 // Stage I evictions
 
 	// reg and rounds (core.round_seconds) are Options.Metrics and its round
 	// histogram; both are nil when instrumentation is off, which keeps the
@@ -59,10 +52,7 @@ type engine struct {
 	rounds *obs.Histogram
 
 	// fl and the two span contexts drive causal tracing. runCtx parents the
-	// per-round spans; roundCtx parents the per-seller core.solve spans and is
-	// written by the round loop's sequential section before the seller
-	// fan-out, so the worker goroutines read it race-free (the go statement
-	// and wg.Wait() order the accesses).
+	// per-round spans; roundCtx parents the per-seller core.solve spans.
 	fl       *trace.Flight
 	runCtx   trace.SpanContext
 	roundCtx trace.SpanContext
@@ -76,8 +66,7 @@ func (e *engine) roundTimer() time.Time {
 	return time.Now()
 }
 
-// observeRound records one round's wall time. Called from the sequential
-// section of each round loop.
+// observeRound records one round's wall time.
 func (e *engine) observeRound(start time.Time) {
 	if e.reg == nil {
 		return
@@ -88,8 +77,7 @@ func (e *engine) observeRound(start time.Time) {
 // publish flushes one run's aggregate counters onto the registry. solves is
 // the run's own MWIS solve count — for a fresh engine that is the cumulative
 // e.solves, but the persistent incremental engine passes the per-step delta
-// so registry totals stay additive. The per-run values are invariant under
-// the worker schedule, so so are the registry totals.
+// so registry totals stay additive.
 func (e *engine) publish(res *Result, solves int64) {
 	reg := e.reg
 	if reg == nil {
@@ -117,15 +105,13 @@ func newEngine(m *market.Market, opts Options) *engine {
 		opts:    opts,
 		rows:    priceRows(m),
 		solvers: make([]mwis.Solver, numSellers),
-		out:     make([][]int, numSellers),
-		errs:    make([]error, numSellers),
 	}
 	if !opts.DisableCoalitionCache {
 		e.caches = make([]coalitionCache, numSellers)
 	}
 	e.fl = opts.Flight
-	// Stand-alone entry points (RunStageI, the stage-II helpers) have no run
-	// root; parenting their rounds on SpanParent keeps them in one trace.
+	// The stand-alone entry point RunStageI has no run root; parenting its
+	// rounds on SpanParent keeps them in one trace.
 	e.runCtx = opts.SpanParent
 	if opts.Metrics != nil {
 		e.reg = opts.Metrics
@@ -135,8 +121,7 @@ func newEngine(m *market.Market, opts Options) *engine {
 }
 
 // startRound opens one core.round span and points roundCtx at it so the
-// round's coalition decisions parent correctly. Must be called from the
-// sequential section of a round loop, before the seller fan-out.
+// round's coalition decisions parent correctly.
 func (e *engine) startRound() trace.SpanHandle {
 	span := e.fl.Start(e.runCtx, "core.round")
 	e.roundCtx = span.Context()
@@ -153,41 +138,6 @@ func (e *engine) endRound(span *trace.SpanHandle, stage string, round, messages 
 	span.End()
 }
 
-// forEachSeller runs fn(i) for every seller in [0, M), fanning the calls out
-// over at most Options.Workers goroutines. fn must confine itself to
-// seller-i state per the engine's concurrency contract; callers merge the
-// per-seller results in seller-ID order afterwards, so the schedule the pool
-// happens to pick never affects the output.
-func (e *engine) forEachSeller(fn func(i int)) {
-	numSellers := e.m.M()
-	workers := e.opts.Workers
-	if workers > numSellers {
-		workers = numSellers
-	}
-	if workers <= 1 {
-		for i := 0; i < numSellers; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= numSellers {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // coalition returns seller i's most-preferred coalition among the candidate
 // buyers: the MWIS of the candidates on her channel's interference graph
 // weighted by her price row. With the cache enabled it first canonicalizes
@@ -198,9 +148,7 @@ func (e *engine) forEachSeller(fn func(i int)) {
 //
 // Every decision — including cache hits — records a core.solve span under the
 // current round, annotated with the seller, candidate count, and how the
-// decision was reached (src=solve|hit|independent|empty). Safe from the
-// seller fan-out: Flight is concurrency-safe and roundCtx is fixed for the
-// round.
+// decision was reached (src=solve|hit|independent|empty).
 func (e *engine) coalition(i int, candidates []int) ([]int, error) {
 	span := e.fl.Start(e.roundCtx, "core.solve")
 	sel, src, err := e.decideCoalition(i, candidates)
@@ -219,7 +167,7 @@ func itoa(v int) string { return strconv.Itoa(v) }
 
 func (e *engine) decideCoalition(i int, candidates []int) ([]int, string, error) {
 	if e.caches == nil {
-		e.solves.Add(1)
+		e.solves++
 		sel, err := e.solvers[i].Solve(e.opts.MWIS, e.m.Graph(i), e.rows[i], candidates)
 		return sel, "solve", err
 	}
@@ -251,7 +199,7 @@ func (e *engine) decideCoalition(i int, candidates []int) ([]int, string, error)
 		sel = append([]int(nil), canon...)
 	} else {
 		c.misses++
-		e.solves.Add(1)
+		e.solves++
 		sel, err = e.solvers[i].Solve(e.opts.MWIS, g, e.rows[i], canon)
 		if err != nil {
 			return nil, "", err
@@ -264,8 +212,7 @@ func (e *engine) decideCoalition(i int, candidates []int) ([]int, string, error)
 	return sel, src, nil
 }
 
-// cacheStats sums the per-seller counters. Per-seller counts are invariant
-// under the worker schedule, so the totals are too.
+// cacheStats sums the per-seller counters.
 func (e *engine) cacheStats() CacheStats {
 	var cs CacheStats
 	for i := range e.caches {

@@ -24,10 +24,8 @@ import (
 //     engine. The repo's deterministic tests assert Prop. 4 on the
 //     single-demand generator, matching the paper's evaluation setup.
 //
-// It also checks this PR's engineering guarantee: the parallel engine
-// (Workers: 8) and the cache-disabled engine produce exactly the run of the
-// sequential default — same matching, same welfare, same per-stage
-// statistics.
+// It also checks that the cache-disabled engine produces exactly the run of
+// the default — same matching, same welfare, same per-stage statistics.
 func FuzzRun(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(10), uint8(0), uint8(0))
 	f.Add(int64(7), uint8(5), uint8(25), uint8(1), uint8(0))
@@ -75,9 +73,9 @@ func FuzzRun(f *testing.F) {
 			t.Fatalf("generate %+v: %v", cfg, err)
 		}
 
-		ref, err := core.Run(m, core.Options{MWIS: alg, Workers: 1})
+		ref, err := core.Run(m, core.Options{MWIS: alg})
 		if err != nil {
-			t.Fatalf("sequential run: %v", err)
+			t.Fatalf("run: %v", err)
 		}
 
 		// §III-C invariants on the reference output.
@@ -96,31 +94,23 @@ func FuzzRun(f *testing.F) {
 			}
 		}
 
-		// Engine-configuration identity: parallel and cache-disabled runs
-		// must reproduce the sequential run exactly.
-		for _, opts := range []core.Options{
-			{MWIS: alg, Workers: 8},
-			{MWIS: alg, Workers: 1, DisableCoalitionCache: true},
-		} {
-			got, err := core.Run(m, opts)
-			if err != nil {
-				t.Fatalf("run %+v: %v", opts, err)
-			}
-			if !got.Matching.Equal(ref.Matching) {
-				t.Errorf("matching differs under %+v:\n got %v\nwant %v", opts, got.Matching, ref.Matching)
-			}
-			if got.Welfare != ref.Welfare || got.Matched != ref.Matched {
-				t.Errorf("welfare/matched differ under %+v: got (%v, %d), want (%v, %d)",
-					opts, got.Welfare, got.Matched, ref.Welfare, ref.Matched)
-			}
-			if got.StageI != ref.StageI || got.Phase1 != ref.Phase1 || got.Phase2 != ref.Phase2 {
-				t.Errorf("stage stats differ under %+v:\n got %+v %+v %+v\nwant %+v %+v %+v",
-					opts, got.StageI, got.Phase1, got.Phase2, ref.StageI, ref.Phase1, ref.Phase2)
-			}
-			if opts.Workers == 8 && got.Cache != ref.Cache {
-				// The cache counters are schedule-invariant by construction.
-				t.Errorf("cache stats differ under %+v: got %+v, want %+v", opts, got.Cache, ref.Cache)
-			}
+		// Cache identity: the cache-disabled run must reproduce the
+		// reference run exactly.
+		opts := core.Options{MWIS: alg, DisableCoalitionCache: true}
+		got, err := core.Run(m, opts)
+		if err != nil {
+			t.Fatalf("run %+v: %v", opts, err)
+		}
+		if !got.Matching.Equal(ref.Matching) {
+			t.Errorf("matching differs under %+v:\n got %v\nwant %v", opts, got.Matching, ref.Matching)
+		}
+		if got.Welfare != ref.Welfare || got.Matched != ref.Matched {
+			t.Errorf("welfare/matched differ under %+v: got (%v, %d), want (%v, %d)",
+				opts, got.Welfare, got.Matched, ref.Welfare, ref.Matched)
+		}
+		if got.StageI != ref.StageI || got.Phase1 != ref.Phase1 || got.Phase2 != ref.Phase2 {
+			t.Errorf("stage stats differ under %+v:\n got %+v %+v %+v\nwant %+v %+v %+v",
+				opts, got.StageI, got.Phase1, got.Phase2, ref.StageI, ref.Phase1, ref.Phase2)
 		}
 	})
 }

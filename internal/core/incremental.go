@@ -16,26 +16,20 @@
 //     zero-weight candidates, so a canonical candidate set identifies its
 //     coalition for as long as the channel's interference graph stands; a
 //     Move event that rewires a channel drops that channel's whole memo
-//     (the graph is an input to every memoized decision);
-//   - the dirty neighborhood of the event (churned buyers plus their
-//     interference closure across online channels, via the graph package's
-//     word-parallel UnionRowsInto kernel) bounds where new MWIS work can
-//     arise and is exported through core.incremental.* metrics and the
-//     core.dirty span.
+//     (the graph is an input to every memoized decision).
 //
 // The replay is exact by construction: every protocol round, message,
 // decision, welfare sum and StepStats field is bit-for-bit identical to the
 // full path's. The win is eliminating the per-step rebuild and steady-state
 // allocation, not changing the protocol — round structure is global (every
-// active buyer's cursor advances each phase), so only the expensive parts
-// (market construction, MWIS solves, scratch churn) contract to the dirty
-// region.
+// active buyer's cursor advances each phase), so a step costs O(rounds · N)
+// cursor scanning plus the MWIS solves the memo misses, which the
+// core.incremental.solves and memo_hits counters report.
 package core
 
 import (
 	"fmt"
 
-	"specmatch/internal/graph"
 	"specmatch/internal/market"
 	"specmatch/internal/matching"
 	"specmatch/internal/obs"
@@ -44,42 +38,30 @@ import (
 
 // Churn describes the effective deltas one online step applied to a session,
 // in application order: Departed buyers were deactivated (and unassigned),
-// Arrived buyers activated, ChannelsDown reclaimed (displacing the listed
-// Displaced buyers), ChannelsUp re-offered. Lists carry only real
-// transitions — a departure of an already-inactive buyer never appears.
-// Incremental.Step reads a Churn and never retains it, so callers may reuse
-// one across steps (see Reset).
+// Arrived buyers activated, ChannelsDown reclaimed, ChannelsUp re-offered.
+// Lists carry only real transitions — a departure of an already-inactive
+// buyer never appears. Incremental.Step reads a Churn and never retains it,
+// so callers may reuse one across steps (see Reset).
 type Churn struct {
 	Arrived      []int
 	Departed     []int
-	Displaced    []int
 	ChannelsUp   []int
 	ChannelsDown []int
 
-	// Moved lists buyers relocated by the step (the session already rewired
-	// the base market's graphs). MovedOldNbrs is a bitset over buyers: the
-	// OR of every mover's pre-move interference rows across channels, nil
-	// when nobody moved. It lets the dirty closure cover dissolved conflicts
-	// as well as created ones. It may be the caller's reusable scratch, so
-	// the engine reads it during Step and never retains it. Rewired lists
-	// the channels whose graph actually changed; the engine drops those
-	// channels' coalition memos, which would otherwise pin decisions made
-	// against the old graph.
-	Moved        []int
-	MovedOldNbrs graph.Bits
-	Rewired      []int
+	// Rewired lists the channels whose interference graph a buyer move
+	// actually changed (the session already rewired the base market's
+	// graphs). The engine drops those channels' coalition memos, which would
+	// otherwise pin decisions made against the old graph.
+	Rewired []int
 }
 
-// Reset empties c for reuse, keeping every list's storage; MovedOldNbrs,
-// which the caller owns, becomes nil.
+// Reset empties c for reuse, keeping every list's storage.
 func (c *Churn) Reset() {
 	*c = Churn{
 		Arrived:      c.Arrived[:0],
 		Departed:     c.Departed[:0],
-		Displaced:    c.Displaced[:0],
 		ChannelsUp:   c.ChannelsUp[:0],
 		ChannelsDown: c.ChannelsDown[:0],
-		Moved:        c.Moved[:0],
 		Rewired:      c.Rewired[:0],
 	}
 }
@@ -87,12 +69,10 @@ func (c *Churn) Reset() {
 // incMetrics holds the incremental engine's observability handles; nil when
 // the session runs without a registry.
 type incMetrics struct {
-	steps        *obs.Counter
-	coldSyncs    *obs.Counter
-	dirtyBuyers  *obs.Counter
-	dirtySellers *obs.Counter
-	solves       *obs.Counter
-	memoHits     *obs.Counter
+	steps     *obs.Counter
+	coldSyncs *obs.Counter
+	solves    *obs.Counter
+	memoHits  *obs.Counter
 }
 
 // Incremental is a persistent repair engine bound to one base market and one
@@ -110,12 +90,7 @@ type Incremental struct {
 	offline  []bool
 	ready    bool
 
-	seed     graph.Bits // churned buyers
-	closure  graph.Bits // seed ∪ N(seed) across online channels
-	dirtySel graph.Bits // sellers the dirty region can reach
-
-	prevSolves int64      // cumulative engine solves at the end of the last step
-	prevCache  CacheStats // cumulative memo counters at the end of the last step
+	prevCache CacheStats // cumulative memo counters at the end of the last step
 
 	met *incMetrics
 }
@@ -128,12 +103,10 @@ func NewIncremental(m *market.Market, opts Options) *Incremental {
 	inc := &Incremental{m: m, opts: opts}
 	if opts.Metrics != nil {
 		inc.met = &incMetrics{
-			steps:        opts.Metrics.Counter("core.incremental.steps"),
-			coldSyncs:    opts.Metrics.Counter("core.incremental.cold_syncs"),
-			dirtyBuyers:  opts.Metrics.Counter("core.incremental.dirty_buyers"),
-			dirtySellers: opts.Metrics.Counter("core.incremental.dirty_sellers"),
-			solves:       opts.Metrics.Counter("core.incremental.solves"),
-			memoHits:     opts.Metrics.Counter("core.incremental.memo_hits"),
+			steps:     opts.Metrics.Counter("core.incremental.steps"),
+			coldSyncs: opts.Metrics.Counter("core.incremental.cold_syncs"),
+			solves:    opts.Metrics.Counter("core.incremental.solves"),
+			memoHits:  opts.Metrics.Counter("core.incremental.memo_hits"),
 		}
 	}
 	return inc
@@ -154,9 +127,6 @@ func (inc *Incremental) sync(active, offline []bool) {
 		inc.eng.basePref = inc.prefView
 		inc.active = make([]bool, numBuyers)
 		inc.offline = make([]bool, numSellers)
-		inc.seed = graph.NewBits(numBuyers)
-		inc.closure = graph.NewBits(numBuyers)
-		inc.dirtySel = graph.NewBits(numSellers)
 	}
 	copy(inc.active, active)
 	copy(inc.offline, offline)
@@ -228,67 +198,6 @@ func (inc *Incremental) apply(ch Churn) {
 	}
 }
 
-// computeDirty derives the event's dirty neighborhood: the churned buyers
-// (all active buyers on a cold start) plus their one-hop interference
-// closure across every online channel, and the sellers that region can
-// reach. This is the a-priori bound on where repair can create new MWIS
-// work; round structure itself stays global (see the package comment).
-func (inc *Incremental) computeDirty(ch Churn, cold bool) (dirtyBuyers, dirtySellers int) {
-	numSellers := inc.m.M()
-	inc.seed.Reset()
-	inc.closure.Reset()
-	inc.dirtySel.Reset()
-	if cold {
-		for j, a := range inc.active {
-			if a {
-				inc.seed.Set(j)
-			}
-		}
-	} else {
-		for _, j := range ch.Arrived {
-			inc.seed.Set(j)
-		}
-		for _, j := range ch.Departed {
-			inc.seed.Set(j)
-		}
-		for _, j := range ch.Displaced {
-			inc.seed.Set(j)
-		}
-		// A moved buyer dirties both neighborhoods: the new one via her own
-		// (already rewired) rows, the old one via the pre-move rows the
-		// session ORed together before rewiring.
-		for _, j := range ch.Moved {
-			inc.seed.Set(j)
-		}
-		inc.seed.Or(ch.MovedOldNbrs)
-	}
-	inc.closure.Or(inc.seed)
-	for i := 0; i < numSellers; i++ {
-		if inc.offline[i] {
-			continue
-		}
-		inc.m.Graph(i).UnionRowsInto(inc.seed, inc.closure)
-	}
-	for _, i := range ch.ChannelsDown {
-		inc.dirtySel.Set(i)
-	}
-	for _, i := range ch.ChannelsUp {
-		inc.dirtySel.Set(i)
-	}
-	for _, i := range ch.Rewired {
-		inc.dirtySel.Set(i)
-	}
-	inc.closure.ForEach(func(j int) bool {
-		for i := 0; i < numSellers; i++ {
-			if !inc.offline[i] && inc.eng.rows[i][j] > 0 {
-				inc.dirtySel.Set(i)
-			}
-		}
-		return true
-	})
-	return inc.closure.Count(), inc.dirtySel.Count()
-}
-
 // Step repairs mu after one churn event, replacing the full path's
 // effective-market rebuild + Repair with an in-place delta pass. The session
 // must have already applied the event to mu (departed and displaced buyers
@@ -301,8 +210,7 @@ func (inc *Incremental) computeDirty(ch Churn, cold bool) (dirtyBuyers, dirtySel
 // return on the rebuilt effective sub-market: same matching, same welfare
 // floats, same round, message and cache counts.
 func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []bool, parent trace.SpanContext) (Result, error) {
-	cold := !inc.ready
-	if cold {
+	if !inc.ready {
 		inc.sync(active, offline)
 		if inc.met != nil {
 			inc.met.coldSyncs.Inc()
@@ -326,39 +234,18 @@ func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []
 		}
 	}
 
+	// The span keeps its historical name: dashboards and the serving
+	// benchmark key on core.dirty.
 	span := inc.opts.Flight.Start(parent, "core.dirty")
 	defer span.End()
 	e.runCtx = span.Context()
 
-	dirtyBuyers, dirtySellers := inc.computeDirty(ch, cold)
-
 	res := Result{Matching: mu}
 	res.StageI.Welfare = e.welfare(mu)
-	solvesBefore := e.solves.Load()
-
-	var inviteLists [][]int
-	if !inc.opts.SkipTransfer {
-		var err error
-		var phase1 StageStats
-		inviteLists, phase1, err = e.runTransfer(mu)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: incremental transfer: %w", err)
-		}
-		res.Phase1 = phase1
+	solvesBefore := e.solves
+	if err := e.runStageII(mu, &res); err != nil {
+		return Result{}, fmt.Errorf("core: incremental step: %w", err)
 	}
-	res.Phase1.Welfare = e.welfare(mu)
-
-	if !inc.opts.SkipInvitation {
-		phase2, err := e.runInvitation(mu, inviteLists)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: incremental invitation: %w", err)
-		}
-		res.Phase2 = phase2
-	}
-	res.Phase2.Welfare = e.welfare(mu)
-
-	res.Welfare = res.Phase2.Welfare
-	res.Matched = mu.MatchedCount()
 
 	// The engine's counters are cumulative across the session; Result and
 	// the registry want this step's own contribution.
@@ -369,20 +256,14 @@ func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []
 		Misses:      total.Misses - inc.prevCache.Misses,
 	}
 	inc.prevCache = total
-	stepSolves := e.solves.Load() - solvesBefore
-	inc.prevSolves += stepSolves
+	stepSolves := e.solves - solvesBefore
 	e.publish(&res, stepSolves)
 
 	if inc.met != nil {
 		inc.met.steps.Inc()
-		inc.met.dirtyBuyers.Add(int64(dirtyBuyers))
-		inc.met.dirtySellers.Add(int64(dirtySellers))
 		inc.met.solves.Add(stepSolves)
 		inc.met.memoHits.Add(int64(res.Cache.Hits + res.Cache.Independent))
 	}
-	if span.Active() {
-		span.Annotate(fmt.Sprintf("dirty_buyers=%d dirty_sellers=%d rounds=%d matched=%d welfare=%.6g",
-			dirtyBuyers, dirtySellers, res.TotalRounds(), res.Matched, res.Welfare))
-	}
+	annotateRun(&span, &res)
 	return res, nil
 }

@@ -33,35 +33,12 @@ func Repair(m *market.Market, mu *matching.Matching, opts Options) (Result, erro
 	defer span.End()
 	eng.runCtx = span.Context()
 	res := Result{Matching: mu}
-	res.StageI.Welfare = matching.Welfare(m, mu)
-
-	var inviteLists [][]int
-	if !opts.SkipTransfer {
-		var err error
-		var phase1 StageStats
-		inviteLists, phase1, err = eng.runTransfer(mu)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: repair transfer: %w", err)
-		}
-		res.Phase1 = phase1
+	res.StageI.Welfare = eng.welfare(mu)
+	if err := eng.runStageII(mu, &res); err != nil {
+		return Result{}, fmt.Errorf("core: repair: %w", err)
 	}
-	res.Phase1.Welfare = matching.Welfare(m, mu)
-
-	if !opts.SkipInvitation {
-		phase2, err := eng.runInvitation(mu, inviteLists)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: repair invitation: %w", err)
-		}
-		res.Phase2 = phase2
-	}
-	res.Phase2.Welfare = matching.Welfare(m, mu)
-
-	res.Welfare = res.Phase2.Welfare
-	res.Matched = mu.MatchedCount()
 	res.Cache = eng.cacheStats()
-	eng.publish(&res, eng.solves.Load())
-	if span.Active() {
-		span.Annotate(fmt.Sprintf("rounds=%d matched=%d welfare=%.6g", res.TotalRounds(), res.Matched, res.Welfare))
-	}
+	eng.publish(&res, eng.solves)
+	annotateRun(&span, &res)
 	return res, nil
 }

@@ -73,41 +73,6 @@ func TestRunSpanTree(t *testing.T) {
 	}
 }
 
-// TestRunSpanTreeWorkersEqual: the span layer must hold at any worker count
-// (spans are recorded from the fan-out goroutines), and results stay
-// bit-identical.
-func TestRunSpanTreeWorkersEqual(t *testing.T) {
-	m := generate(t, market.Config{Sellers: 5, Buyers: 20, Seed: 3})
-	fl1 := trace.NewFlight(1 << 14)
-	r1, err := core.Run(m, core.Options{Flight: fl1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl4 := trace.NewFlight(1 << 14)
-	r4, err := core.Run(m, core.Options{Flight: fl4, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Welfare != r4.Welfare || !r1.Matching.Equal(r4.Matching) {
-		t.Fatalf("workers changed a traced run: %v vs %v", r1.Welfare, r4.Welfare)
-	}
-	count := func(spans []trace.Span, name string) int {
-		n := 0
-		for _, s := range spans {
-			if s.Name == name {
-				n++
-			}
-		}
-		return n
-	}
-	s1, s4 := fl1.Snapshot(), fl4.Snapshot()
-	for _, name := range []string{"core.run", "core.round", "core.solve"} {
-		if count(s1, name) != count(s4, name) {
-			t.Errorf("%s spans: %d at 1 worker, %d at 4", name, count(s1, name), count(s4, name))
-		}
-	}
-}
-
 // TestOnlineStepSpanChain: StepTraced parents the repair run under the
 // caller's context, so a service request chains online.step -> core.dirty
 // (the incremental repair pass) -> core.round without gaps, and with

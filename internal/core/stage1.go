@@ -76,30 +76,23 @@ func (e *engine) runStageI() (*matching.Matching, StageStats, error) {
 		}
 		stats.Rounds = round
 
-		// Decision step: sellers form their most-preferred coalitions in
-		// parallel against the round's proposal batch; mutations and trace
-		// events are then applied in seller-ID order, so the output is
-		// identical at every worker count.
-		e.forEachSeller(func(i int) {
-			e.out[i], e.errs[i] = nil, nil
-			newProposers := proposers[i]
-			if len(newProposers) == 0 {
-				return
-			}
-			candidates := make([]int, 0, len(waiting[i])+len(newProposers))
-			candidates = append(candidates, waiting[i]...)
-			candidates = append(candidates, newProposers...)
-			e.out[i], e.errs[i] = e.coalition(i, candidates)
-		})
+		// Decision step: each seller with new proposers forms her
+		// most-preferred coalition among her waiting list and the round's
+		// proposers, then applies it. A decision reads only that seller's
+		// own waiting list and proposers, so deciding and applying in
+		// seller-ID order is the paper's synchronous round.
 		for i := 0; i < numSellers; i++ {
 			newProposers := proposers[i]
 			if len(newProposers) == 0 {
 				continue
 			}
-			if e.errs[i] != nil {
-				return nil, stats, fmt.Errorf("seller %d coalition: %w", i, e.errs[i])
+			candidates := make([]int, 0, len(waiting[i])+len(newProposers))
+			candidates = append(candidates, waiting[i]...)
+			candidates = append(candidates, newProposers...)
+			selected, err := e.coalition(i, candidates)
+			if err != nil {
+				return nil, stats, fmt.Errorf("seller %d coalition: %w", i, err)
 			}
-			selected := e.out[i]
 			keep := make(map[int]struct{}, len(selected))
 			for _, j := range selected {
 				keep[j] = struct{}{}
@@ -130,7 +123,7 @@ func (e *engine) runStageI() (*matching.Matching, StageStats, error) {
 		e.endRound(&roundSpan, "stage_i", round, proposalsMade)
 	}
 
-	stats.Welfare = matching.Welfare(m, mu)
+	stats.Welfare = e.welfare(mu)
 	return mu, stats, nil
 }
 

@@ -93,8 +93,7 @@ func (e *engine) stage2() *stage2State {
 
 // sellerMask returns seller i's screening mask, allocating it the first time
 // the seller needs one. Every use overwrites it wholesale (Copy), so no
-// clearing discipline is needed. Safe from the seller fan-out: slot i is
-// seller-i-private state.
+// clearing discipline is needed.
 func (s2 *stage2State) sellerMask(i, numBuyers int) graph.Bits {
 	if s2.snapMask[i] == nil {
 		s2.snapMask[i] = graph.NewBits(numBuyers)
@@ -113,15 +112,16 @@ func (e *engine) conflictsWithCoalition(i, j int, mu *matching.Matching) bool {
 // in place. It returns each seller's accumulated invitation list R_i: the
 // transfer applicants she rejected, in arrival order without duplicates. The
 // returned slices alias the engine's pooled state and are valid until the
-// next runTransfer on the same engine.
+// next runTransfer on the same engine. The returned stats carry no welfare;
+// runStageII sums it.
 //
 // Semantics fixed by the paper's worked example (Fig. 2): within a round all
 // sellers decide against the coalition snapshot taken at the start of the
 // round, then all granted transfers take effect simultaneously — seller c
 // rejects buyer 5 against µ(c) = {1,2} even though buyer 2's simultaneous
-// transfer to seller a is granted in the same round. The snapshot semantics
-// are also what makes the per-seller fan-out safe: decisions read only the
-// snapshot, and grants are applied in seller-ID order afterwards.
+// transfer to seller a is granted in the same round. Because decisions read
+// only the snapshot, each seller's grants can be applied right after her
+// decision, in seller-ID order.
 func (e *engine) runTransfer(mu *matching.Matching) ([][]int, StageStats, error) {
 	numSellers, numBuyers := e.m.M(), e.m.N()
 	var stats StageStats
@@ -205,18 +205,16 @@ func (e *engine) runTransfer(mu *matching.Matching) ([][]int, StageStats, error)
 			s2.sellerMask(i, numBuyers).Copy(mu.Members(i))
 		}
 
-		// Decision step: sellers admit the best independent subset of
-		// applicants compatible with their (unevictable) snapshot coalition,
-		// fanned out per seller; grants and trace events are applied in
-		// seller-ID order so the output is identical at every worker count.
-		e.forEachSeller(func(i int) {
-			e.out[i], e.errs[i] = nil, nil
+		// Decision step: each seller admits the best independent subset of
+		// applicants compatible with her (unevictable) snapshot coalition,
+		// and her grants and trace events are applied at once.
+		for i := 0; i < numSellers; i++ {
 			applied := applicants[i]
 			if len(applied) == 0 {
-				return
+				continue
 			}
 			g := e.m.Graph(i)
-			mask := s2.snapMask[i] // populated in the sequential snapshot pass
+			mask := s2.snapMask[i]
 			compat := s2.compat[i][:0]
 			for _, j := range applied {
 				if !g.ConflictsMask(j, mask) {
@@ -224,17 +222,10 @@ func (e *engine) runTransfer(mu *matching.Matching) ([][]int, StageStats, error)
 				}
 			}
 			s2.compat[i] = compat
-			e.out[i], e.errs[i] = e.coalition(i, compat)
-		})
-		for i := 0; i < numSellers; i++ {
-			applied := applicants[i]
-			if len(applied) == 0 {
-				continue
+			selected, err := e.coalition(i, compat)
+			if err != nil {
+				return nil, stats, fmt.Errorf("seller %d transfer coalition: %w", i, err)
 			}
-			if e.errs[i] != nil {
-				return nil, stats, fmt.Errorf("seller %d transfer coalition: %w", i, e.errs[i])
-			}
-			selected := e.out[i]
 			for _, j := range selected {
 				s2.granted.Set(j)
 				if err := mu.Assign(i, j); err != nil {
@@ -262,19 +253,16 @@ func (e *engine) runTransfer(mu *matching.Matching) ([][]int, StageStats, error)
 		e.observeRound(roundStart)
 		e.endRound(&roundSpan, "phase_1", round, applicationsMade)
 	}
-
-	stats.Welfare = e.welfare(mu)
 	return s2.inviteLists, stats, nil
 }
 
 // runInvitation executes Stage II Phase 2 (Algorithm 2 lines 18–33), mutating
 // mu in place. Each seller first screens her invitation list down to buyers
-// compatible with her current coalition — fanned out per seller, since
-// screening only reads the frozen post-Phase-1 matching — then each round
-// invites her highest-price remaining candidate; a buyer accepts the best
-// strictly improving invitation she holds. After an acceptance the seller
-// drops the new member's interfering neighbors from her list (Algorithm 2
-// line 29).
+// compatible with her post-Phase-1 coalition, then each round invites her
+// highest-price remaining candidate; a buyer accepts the best strictly
+// improving invitation she holds. After an acceptance the seller drops the
+// new member's interfering neighbors from her list (Algorithm 2 line 29).
+// The returned stats carry no welfare; runStageII sums it.
 func (e *engine) runInvitation(mu *matching.Matching, inviteLists [][]int) (StageStats, error) {
 	numSellers, numBuyers := e.m.M(), e.m.N()
 	var stats StageStats
@@ -282,10 +270,11 @@ func (e *engine) runInvitation(mu *matching.Matching, inviteLists [][]int) (Stag
 
 	// Screening (Algorithm 2 lines 19–21).
 	pending := s2.pending
-	e.forEachSeller(func(i int) {
+	totalPending := 0
+	for i := 0; i < numSellers; i++ {
 		pending[i] = pending[i][:0]
 		if i >= len(inviteLists) || len(inviteLists[i]) == 0 {
-			return
+			continue
 		}
 		g := e.m.Graph(i)
 		mask := s2.sellerMask(i, numBuyers)
@@ -307,9 +296,6 @@ func (e *engine) runInvitation(mu *matching.Matching, inviteLists [][]int) (Stag
 			}
 			return pending[i][a] < pending[i][b]
 		})
-	})
-	totalPending := 0
-	for i := 0; i < numSellers; i++ {
 		totalPending += len(pending[i])
 	}
 
@@ -390,7 +376,5 @@ func (e *engine) runInvitation(mu *matching.Matching, inviteLists [][]int) (Stag
 		e.observeRound(roundStart)
 		e.endRound(&roundSpan, "phase_2", round, invitesMade)
 	}
-
-	stats.Welfare = e.welfare(mu)
 	return stats, nil
 }

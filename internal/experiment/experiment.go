@@ -32,12 +32,6 @@ type RunConfig struct {
 	Reps int
 	// Workers bounds parallel replications; zero means GOMAXPROCS.
 	Workers int
-	// EngineWorkers bounds the per-round seller fan-out inside each core.Run
-	// replication. Zero means sequential (1): replications already saturate
-	// the machine, so nesting engine parallelism under them would only
-	// oversubscribe. Set it above one when running few replications on a
-	// many-core box. Results are identical at every setting.
-	EngineWorkers int
 
 	// Metrics, when non-nil, aggregates engine instrumentation across every
 	// replication of the figure (the registry's counters are atomic, so
@@ -53,17 +47,13 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.EngineWorkers == 0 {
-		c.EngineWorkers = 1
-	}
 	return c
 }
 
 // engineOptions translates the config into the engine options every
 // replication should run under.
 func (c RunConfig) engineOptions() core.Options {
-	c = c.withDefaults()
-	return core.Options{Workers: c.EngineWorkers, Metrics: c.Metrics}
+	return core.Options{Metrics: c.Metrics}
 }
 
 // Point is one sweep position with aggregated measurements per series.

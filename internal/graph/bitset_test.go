@@ -106,84 +106,6 @@ func TestBitsetSliceEquivalence(t *testing.T) {
 	}
 }
 
-// TestUnionRowsClosure pins the dirty-neighborhood kernel on the shapes the
-// online engine's closure must handle: isolated vertices expand to nothing,
-// a clique seed saturates to the whole clique, and a seed bit set then
-// cleared (back-to-back add/remove of the same buyer) contributes nothing.
-func TestUnionRowsClosure(t *testing.T) {
-	// 0-1-2 path, 3 isolated, 4-5-6-7 clique.
-	g := New(8)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {4, 5}, {4, 6}, {4, 7}, {5, 6}, {5, 7}, {6, 7}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	closure := func(seedVerts ...int) []int {
-		seed := NewBits(8)
-		out := NewBits(8)
-		for _, v := range seedVerts {
-			seed.Set(v)
-			out.Set(v)
-		}
-		g.UnionRowsInto(seed, out)
-		var got []int
-		out.ForEach(func(v int) bool { got = append(got, v); return true })
-		return got
-	}
-	eq := func(got, want []int) bool {
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-
-	if got := closure(3); !eq(got, []int{3}) {
-		t.Errorf("isolated vertex closure = %v, want [3]", got)
-	}
-	if got := closure(4); !eq(got, []int{4, 5, 6, 7}) {
-		t.Errorf("clique member closure = %v, want the whole clique", got)
-	}
-	if got := closure(1); !eq(got, []int{0, 1, 2}) {
-		t.Errorf("path center closure = %v, want [0 1 2]", got)
-	}
-	if got := closure(); got != nil {
-		t.Errorf("empty seed closure = %v, want empty", got)
-	}
-
-	// Back-to-back add/remove of the same vertex: a Set immediately undone
-	// by Clear must leave the seed — and hence the closure — untouched.
-	seed := NewBits(8)
-	seed.Set(1)
-	seed.Set(4)
-	seed.Clear(4)
-	out := NewBits(8)
-	out.Or(seed)
-	g.UnionRowsInto(seed, out)
-	var got []int
-	out.ForEach(func(v int) bool { got = append(got, v); return true })
-	if !eq(got, []int{0, 1, 2}) {
-		t.Errorf("set-then-clear seed closure = %v, want [0 1 2]", got)
-	}
-
-	// A seed wider than the graph (buyer universe larger than this channel's
-	// vertex set) must not read past the graph's rows.
-	wide := NewBits(1024)
-	wide.Set(1)
-	wide.Set(900)
-	wideOut := NewBits(1024)
-	g.UnionRowsInto(wide, wideOut)
-	var wideGot []int
-	wideOut.ForEach(func(v int) bool { wideGot = append(wideGot, v); return true })
-	if !eq(wideGot, []int{0, 2}) {
-		t.Errorf("wide seed closure = %v, want [0 2]", wideGot)
-	}
-}
-
 // TestBitsOps covers the Bits primitives the kernels are built from,
 // including the 64-bit word boundaries.
 func TestBitsOps(t *testing.T) {

@@ -199,21 +199,6 @@ func (g *Graph) RewireVertex(v int, row Bits) (bool, error) {
 	return changed, nil
 }
 
-// UnionRowsInto ORs the adjacency rows of every vertex set in seed into out:
-// out becomes (out ∪ N(seed)), the one-hop interference neighborhood. This
-// is the kernel behind the online engine's dirty-neighborhood closure —
-// isolated vertices contribute nothing, a clique seed saturates out with the
-// whole clique. out must have at least Words() words; seed may be shorter.
-func (g *Graph) UnionRowsInto(seed Bits, out Bits) {
-	seed.ForEach(func(v int) bool {
-		if v >= g.n {
-			return false // seed may cover a larger universe than g
-		}
-		out.Or(g.Row(v))
-		return true
-	})
-}
-
 // Edges returns all edges as ordered pairs (u < v), sorted lexicographically.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.edges)

@@ -73,16 +73,6 @@ func (mu *Matching) Coalition(i int) []int {
 	return out
 }
 
-// AppendMembers appends the members of µ(i) to buf in ascending order and
-// returns it — the allocation-free Coalition.
-func (mu *Matching) AppendMembers(i int, buf []int) []int {
-	mu.members[i].ForEach(func(j int) bool {
-		buf = append(buf, j)
-		return true
-	})
-	return buf
-}
-
 // CoalitionSize returns |µ(i)| without allocating.
 func (mu *Matching) CoalitionSize(i int) int { return mu.counts[i] }
 

@@ -10,8 +10,8 @@
 // Disabled is the default and costs (almost) nothing: a nil *Registry hands
 // out nil metric handles, and every metric method is a nil-guarded no-op —
 // the same idiom as trace.Recorder. Enabled metrics are safe for concurrent
-// use; counters and gauges are single atomic words, so the engine's worker
-// fan-out and the goroutine-per-agent runtime update them freely. The
+// use; counters and gauges are single atomic words, so parallel experiment
+// replications and the goroutine-per-agent runtime update them freely. The
 // canonical metric names per layer are listed in PROTOCOL.md ("Metric
 // names") so alternative transports can instrument identically.
 package obs

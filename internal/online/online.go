@@ -12,9 +12,10 @@
 //
 // By default Step runs the repair on a persistent per-session engine
 // (core.Incremental) that keeps effective prices, preference orders, and
-// coalition memos alive across steps and charges each step for the event's
-// dirty neighborhood rather than a from-scratch market rebuild; see
-// internal/core/incremental.go and DESIGN.md for the mechanism.
+// coalition memos alive across steps, so a step replays Stage II's rounds
+// without a from-scratch market rebuild and re-solves only the coalitions
+// its memo misses; see internal/core/incremental.go and DESIGN.md for the
+// mechanism.
 // Options.DisableIncremental routes every step through an effective-market
 // rebuild plus core.Repair instead — the output is bit-identical either way
 // (StepStats, matching, welfare floats), which the differential harness in
@@ -40,7 +41,6 @@ import (
 
 	"specmatch/internal/core"
 	"specmatch/internal/geom"
-	"specmatch/internal/graph"
 	"specmatch/internal/market"
 	"specmatch/internal/matching"
 	"specmatch/internal/trace"
@@ -154,10 +154,9 @@ type Session struct {
 	// the incremental one skips the per-step effective-market rebuild.
 	inc *core.Incremental
 
-	// churn and movedOld are reusable per-step buffers: the step's
-	// effective transitions, and the bitset behind churn.MovedOldNbrs.
-	churn    core.Churn
-	movedOld graph.Bits
+	// churn is a reusable per-step buffer: the step's effective
+	// transitions.
+	churn core.Churn
 }
 
 // NewSession starts a session on the given market with no active buyers and
@@ -291,13 +290,13 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		s.offline[i] = true
 		st.ChannelsDown++
 		ch.ChannelsDown = append(ch.ChannelsDown, i)
-		// The reclaiming seller displaces her whole coalition.
-		from := len(ch.Displaced)
-		ch.Displaced = s.mu.AppendMembers(i, ch.Displaced)
-		for _, j := range ch.Displaced[from:] {
+		// The reclaiming seller displaces her whole coalition. Unassign
+		// clears only the member being visited, so the walk stays valid.
+		st.Displaced += s.mu.CoalitionSize(i)
+		s.mu.EachMember(i, func(j int) bool {
 			s.mu.Unassign(j)
-			st.Displaced++
-		}
+			return true
+		})
 	}
 	for _, i := range ev.ChannelUp {
 		if !s.offline[i] {
@@ -307,27 +306,14 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		st.ChannelsUp++
 		ch.ChannelsUp = append(ch.ChannelsUp, i)
 	}
-	if len(ev.Move) > 0 {
-		if s.movedOld == nil {
-			s.movedOld = graph.NewBits(s.base.N())
-		}
-		s.movedOld.Reset()
-		ch.MovedOldNbrs = s.movedOld
-	}
 	for _, mv := range ev.Move {
 		j := mv.Buyer
-		// The pre-move neighborhood seeds the dirty closure alongside the
-		// post-move one: dissolved conflicts free the old neighbors too.
-		for i := 0; i < s.base.M(); i++ {
-			s.movedOld.Or(s.base.Graph(i).Row(j))
-		}
 		rewired, err := s.base.MoveBuyer(j, mv.To)
 		if err != nil {
 			// Unreachable after the geometry and Validate checks above.
 			return st, fmt.Errorf("online: %w", err)
 		}
 		st.Moved++
-		ch.Moved = append(ch.Moved, j)
 		ch.Rewired = append(ch.Rewired, rewired...)
 		// Only j's edges changed, so only j's own seat can have become
 		// conflicted; the mover, not the incumbent, loses it.
@@ -335,7 +321,6 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 			if s.base.Graph(i).ConflictsMask(j, s.mu.Members(i)) {
 				s.mu.Unassign(j)
 				st.Displaced++
-				ch.Displaced = append(ch.Displaced, j)
 			}
 		}
 	}

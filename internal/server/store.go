@@ -71,8 +71,7 @@ type Config struct {
 	// every /v1 operation. Zero means 5s.
 	RequestTimeout time.Duration
 	// Engine is the core.Options template every hosted session runs with.
-	// Leave Workers at 1 for serving: shards already parallelize across
-	// sessions, and per-step fan-out would oversubscribe the host.
+	// The engine is sequential; shards parallelize across sessions.
 	Engine core.Options
 	// Metrics receives the server.* instrumentation (names in PROTOCOL.md).
 	// Nil disables it.

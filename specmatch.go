@@ -70,9 +70,9 @@ type MarketSpec = market.Spec
 type Matching = matching.Matching
 
 // MatchOptions configures the synchronous two-stage algorithm, including
-// the engine's performance knobs: Workers bounds the per-round seller
-// fan-out and DisableCoalitionCache opts out of coalition-solve caching.
-// Output is bit-identical at every Workers/cache setting.
+// the engine's performance knob DisableCoalitionCache, which opts out of
+// coalition-solve caching. Output is bit-identical with the cache on or off.
+// Workers is ignored: the engine is sequential.
 type MatchOptions = core.Options
 
 // MatchResult is the outcome of the two-stage algorithm, including
