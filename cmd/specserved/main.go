@@ -70,7 +70,6 @@ func run(args []string, out io.Writer) error {
 		metricsJSON    = fs.String("metrics-json", "", "write a final metrics snapshot JSON to this path ('-' = stdout) on clean exit")
 		flightCap      = fs.Int("flight", 1<<16, "flight-recorder capacity in spans, a bounded ring always recording (0 disables tracing)")
 		traceDump      = fs.String("trace-dump", "specserved-trace.json", "flight-recorder dump path, written on SIGQUIT, on any 5xx (rate-limited), and at drain")
-		sessionEvents  = fs.Int("session-events", 4096, "per-session protocol-event bound; overflow is counted as dropped (-1 disables)")
 		dataDir        = fs.String("data-dir", "", "durable session state: per-shard WAL + checkpoints under this directory; events ack only after fsync, startup recovers every session (empty = in-memory only)")
 		fsyncInterval  = fs.Duration("fsync-interval", 0, "WAL fsync batching interval (0 = 2ms default; negative = fsync every append)")
 		checkpointEach = fs.Int("checkpoint-every", 4096, "checkpoint + truncate a shard's WAL after this many durable records (negative = only at startup and drain)")
@@ -124,7 +123,6 @@ func run(args []string, out io.Writer) error {
 		Metrics:         reg,
 		Flight:          fl,
 		OnServerError:   dump.onServerError,
-		SessionEvents:   *sessionEvents,
 		DataDir:         *dataDir,
 		FsyncInterval:   *fsyncInterval,
 		CheckpointEvery: *checkpointEach,

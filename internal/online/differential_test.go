@@ -9,6 +9,7 @@ import (
 	"specmatch/internal/core"
 	"specmatch/internal/geom"
 	"specmatch/internal/market"
+	"specmatch/internal/matching"
 	"specmatch/internal/xrand"
 )
 
@@ -60,9 +61,16 @@ func (p *sessionPair) step(t testing.TB, label string, ev Event) {
 	p.compare(t, label)
 }
 
-// compare asserts the two sessions describe bit-identical states.
+// compare asserts the two sessions describe bit-identical states, and that
+// each one's Welfare, summed from its own market and matching, is the exact
+// float the rebuilt active sub-market gives.
 func (p *sessionPair) compare(t testing.TB, label string) {
 	t.Helper()
+	for _, s := range []*Session{p.inc, p.full} {
+		if got, want := s.Welfare(), matching.Welfare(s.effectiveMarket(), s.Matching()); got != want {
+			t.Fatalf("%s: Welfare %v, active sub-market gives %v", label, got, want)
+		}
+	}
 	if !p.inc.Matching().Equal(p.full.Matching()) {
 		t.Fatalf("%s: matchings diverged:\n incremental %v\n full        %v",
 			label, p.inc.Matching(), p.full.Matching())

@@ -70,12 +70,14 @@ type Event struct {
 	Move []BuyerMove `json:"move,omitempty"`
 }
 
-// Validate checks every index in the event against a market with the given
-// numbers of virtual channels and buyers, without applying anything. Step
-// validates with it before mutating, so a rejected event leaves the session
-// untouched; servers can call it up front to turn bad input into a client
-// error before queueing work.
-func (ev Event) Validate(channels, buyers int) error {
+// Validate checks the event against market m without applying anything:
+// every index must be in range, every move target finite, and a move needs
+// a market that retains geometry. Step validates with it before mutating,
+// so a rejected event leaves the session untouched; servers call it on a
+// whole batch before applying any of it, so one bad event rejects the
+// batch.
+func (ev Event) Validate(m *market.Market) error {
+	channels, buyers := m.M(), m.N()
 	for _, j := range ev.Depart {
 		if j < 0 || j >= buyers {
 			return fmt.Errorf("online: departing buyer %d out of range [0,%d)", j, buyers)
@@ -103,6 +105,9 @@ func (ev Event) Validate(channels, buyers int) error {
 		if !finitePoint(mv.To) {
 			return fmt.Errorf("online: buyer %d move to non-finite position %v", mv.Buyer, mv.To)
 		}
+	}
+	if len(ev.Move) > 0 && !m.HasGeometry() {
+		return fmt.Errorf("online: move events need a market with geometry (positions and ranges)")
 	}
 	return nil
 }
@@ -186,10 +191,6 @@ func (s *Session) Market() *market.Market { return s.base }
 // Steps returns the number of successfully applied churn events.
 func (s *Session) Steps() int { return s.steps }
 
-// Recorder returns the protocol-event recorder the session's engine runs
-// with; nil when event recording is off.
-func (s *Session) Recorder() *trace.Recorder { return s.opts.Recorder }
-
 // Matching returns the session's current matching. The caller must not
 // mutate it; use Step and Rebuild.
 func (s *Session) Matching() *matching.Matching { return s.mu }
@@ -208,15 +209,20 @@ func (s *Session) ActiveCount() int {
 	return count
 }
 
-// Welfare returns the current social welfare over active buyers.
+// Welfare returns the current social welfare over active buyers, summed
+// from the session's own market and matching. A matched buyer is always
+// active and on an online channel, so every nonzero term and the ascending
+// buyer order they are added in are those of the active sub-market
+// (effectiveMarket): the float is bit-identical without rebuilding it.
 func (s *Session) Welfare() float64 {
-	return matching.Welfare(s.effectiveMarket(), s.mu)
+	return matching.Welfare(s.base, s.mu)
 }
 
 // effectiveMarket derives the active sub-market: inactive buyers' price
 // rows and offline channels' rows are zeroed, which removes them from every
 // mechanism (nobody proposes to a zero-value channel, zero-price buyers
 // never qualify for coalitions or invitations) without renumbering anyone.
+// It feeds the DisableIncremental reference path and Rebuild's fresh run.
 func (s *Session) effectiveMarket() *market.Market {
 	spec := s.base.Spec()
 	prices := make([][]float64, len(spec.Prices))
@@ -256,11 +262,8 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 	span := s.opts.Flight.Start(parent, "online.step")
 	defer span.End()
 	var st StepStats
-	if err := ev.Validate(len(s.offline), len(s.active)); err != nil {
+	if err := ev.Validate(s.base); err != nil {
 		return st, err
-	}
-	if len(ev.Move) > 0 && !s.base.HasGeometry() {
-		return st, fmt.Errorf("online: move events need a market with geometry (positions and ranges)")
 	}
 	// ch collects the effective transitions (no-op entries are dropped
 	// above each append) for the incremental engine's delta pass.
@@ -310,7 +313,7 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		j := mv.Buyer
 		rewired, err := s.base.MoveBuyer(j, mv.To)
 		if err != nil {
-			// Unreachable after the geometry and Validate checks above.
+			// Unreachable after Validate above.
 			return st, fmt.Errorf("online: %w", err)
 		}
 		st.Moved++
@@ -369,22 +372,20 @@ func (s *Session) Rebuild(adopt bool) (float64, error) {
 func (s *Session) RebuildTraced(adopt bool, parent trace.SpanContext) (float64, error) {
 	span := s.opts.Flight.Start(parent, "online.rebuild")
 	defer span.End()
-	em := s.effectiveMarket()
 	opts := s.opts
 	opts.SpanParent = span.Context()
-	res, err := core.Run(em, opts)
+	res, err := core.Run(s.effectiveMarket(), opts)
 	if err != nil {
 		return 0, fmt.Errorf("online: rebuild: %w", err)
 	}
 	welfare := res.Welfare
 	adopted := adopt
-	switch {
-	case !adopt:
-	case matching.Welfare(em, s.mu) > res.Welfare:
-		welfare = matching.Welfare(em, s.mu)
-		adopted = false
-	default:
-		s.mu = res.Matching
+	if adopt {
+		if cur := s.Welfare(); cur > res.Welfare {
+			welfare, adopted = cur, false
+		} else {
+			s.mu = res.Matching
+		}
 	}
 	if span.Active() {
 		span.Annotate(fmt.Sprintf("adopt=%t adopted=%t welfare=%.6g", adopt, adopted, welfare))

@@ -547,7 +547,8 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-// TestEventHelpers covers Validate and Empty directly.
+// TestEventHelpers covers Validate and Empty directly: Validate owns the
+// range, finiteness and geometry checks against the market it is given.
 func TestEventHelpers(t *testing.T) {
 	if !(Event{}).Empty() {
 		t.Error("zero event should be empty")
@@ -555,8 +556,10 @@ func TestEventHelpers(t *testing.T) {
 	if (Event{ChannelUp: []int{0}}).Empty() {
 		t.Error("channel churn is not empty")
 	}
-	ok := Event{Arrive: []int{0}, Depart: []int{4}, ChannelUp: []int{0}, ChannelDown: []int{2}}
-	if err := ok.Validate(3, 5); err != nil {
+	_, m := newSession(t, 3, 5, 1)
+	move := []BuyerMove{{Buyer: 1, To: geom.Point{X: 1, Y: 1}}}
+	ok := Event{Arrive: []int{0}, Depart: []int{4}, ChannelUp: []int{0}, ChannelDown: []int{2}, Move: move}
+	if err := ok.Validate(m); err != nil {
 		t.Errorf("valid event rejected: %v", err)
 	}
 	for _, bad := range []Event{
@@ -564,9 +567,23 @@ func TestEventHelpers(t *testing.T) {
 		{Depart: []int{-1}},
 		{ChannelUp: []int{3}},
 		{ChannelDown: []int{-2}},
+		{Move: []BuyerMove{{Buyer: 5, To: geom.Point{X: 1, Y: 1}}}},
+		{Move: []BuyerMove{{Buyer: 0, To: geom.Point{X: math.Inf(1), Y: 1}}}},
 	} {
-		if err := bad.Validate(3, 5); err == nil {
+		if err := bad.Validate(m); err == nil {
 			t.Errorf("event %+v should fail validation", bad)
 		}
+	}
+	spec := m.Spec()
+	spec.BuyerPos, spec.Ranges = nil, nil
+	flat, err := market.FromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (Event{Move: move}).Validate(flat); err == nil {
+		t.Error("a move on a market without geometry should fail validation")
+	}
+	if err := (Event{Arrive: []int{0}}).Validate(flat); err != nil {
+		t.Errorf("move-free event on a market without geometry rejected: %v", err)
 	}
 }

@@ -43,12 +43,10 @@ type forkedState struct {
 // means the current durable tail. Errors: ErrNotFound for unknown ids,
 // ErrNotDurable on an in-memory store, ErrLSNHorizon when lsn is past the
 // durable tail, below the newest checkpoint (the records before it are
-// deleted on rotation), or before the session existed.
+// deleted on rotation), or before the session existed, and ErrSessionLimit
+// when the child would exceed MaxSessions (checked after the source is
+// found, so an unknown id on a full store is still ErrNotFound).
 func (st *Store) Fork(ctx context.Context, id string, lsn uint64) (ForkResult, error) {
-	if st.live.Load() >= int64(st.cfg.MaxSessions) {
-		st.rejectLimit.Inc()
-		return ForkResult{}, ErrSessionLimit
-	}
 	src := st.shardOf(id)
 	v, err := st.do(ctx, src, func(sc trace.SpanContext) (any, error) {
 		if _, ok := src.sessions[id]; !ok {
@@ -98,15 +96,17 @@ func (st *Store) Fork(ctx context.Context, id string, lsn uint64) (ForkResult, e
 			d = dst.prepareDurable(wal.TypeFork,
 				eventlog.Fork{ID: newID, From: id, AtLSN: fs.at, Spec: fs.spec, State: fs.state}.Encode())
 		}
-		s, err := st.restore(fs.spec, fs.state)
+		s, err := st.insert(dst, newID, func() (*online.Session, error) {
+			s, err := st.restore(fs.spec, fs.state)
+			if err != nil {
+				return nil, fmt.Errorf("server: fork: restoring state: %w", err)
+			}
+			return s, nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("server: fork: restoring state: %w", err)
+			return nil, err
 		}
-		dst.sessions[newID] = s
-		dst.sessGauge.Add(1)
-		st.sessGauge.Add(1)
 		st.forked.Inc()
-		st.live.Add(1)
 		return d.result(s.Snapshot()), nil
 	})
 	if err != nil {

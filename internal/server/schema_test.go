@@ -516,11 +516,14 @@ func TestEventsWireFormatsHTTP(t *testing.T) {
 	}
 }
 
-// TestForkHTTP drives the fork route on a durable server: 201 with the
-// child's state, 404 for unknown sessions, 409 outside the retained window,
-// 400 for an unparsable lsn.
+// TestForkHTTP drives the fork route on a durable server capped at two
+// sessions: 201 with the child's state, then, with the store full, 404 for
+// unknown sessions, 409 outside the retained window, 400 for an unparsable
+// lsn and 429 for a fork that would exceed the cap.
 func TestForkHTTP(t *testing.T) {
-	_, ts := newTestServer(t, durableConfig(t.TempDir(), 2))
+	cfg := durableConfig(t.TempDir(), 2)
+	cfg.MaxSessions = 2
+	_, ts := newTestServer(t, cfg)
 	m := testMarket(t, 3, 10, 4)
 
 	var created CreateResponse
@@ -552,5 +555,8 @@ func TestForkHTTP(t *testing.T) {
 	}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/"+created.ID+"/fork?lsn=banana", nil, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("fork with bad lsn: HTTP %d, want 400", resp.StatusCode)
+	}
+	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/"+created.ID+"/fork", nil, nil); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("fork on a full store: HTTP %d, want 429", resp.StatusCode)
 	}
 }

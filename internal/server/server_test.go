@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"specmatch/internal/geom"
 	"specmatch/internal/market"
 	"specmatch/internal/obs"
 	"specmatch/internal/online"
@@ -177,6 +178,27 @@ func TestBadRequestsAndNotFound(t *testing.T) {
 	if got.Active != 0 || got.Steps != 0 {
 		t.Fatalf("rejected event mutated the session: %+v", got)
 	}
+	// Same for a batch whose second event moves a buyer on a market without
+	// geometry: the batch is rejected before its valid first event applies.
+	flat := m.Spec()
+	flat.BuyerPos, flat.Ranges = nil, nil
+	var flatCreated CreateResponse
+	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", CreateRequest{Spec: flat}, &flatCreated); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create without geometry: HTTP %d", resp.StatusCode)
+	}
+	resp = doJSON(t, "POST", ts.URL+"/v1/sessions/"+flatCreated.ID+"/events", []online.Event{
+		{Arrive: []int{0}},
+		{Move: []online.BuyerMove{{Buyer: 1, To: geom.Point{X: 1, Y: 1}}}},
+	}, nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch with a move on a market without geometry: HTTP %d, want 400", resp.StatusCode)
+	}
+	if resp := doJSON(t, "GET", ts.URL+"/v1/sessions/"+flatCreated.ID, nil, &got); resp.StatusCode != http.StatusOK {
+		t.Fatalf("get: HTTP %d", resp.StatusCode)
+	}
+	if got.Active != 0 || got.Steps != 0 {
+		t.Fatalf("rejected batch mutated the session: %+v", got)
+	}
 
 	// Unknown id on every session route.
 	for _, probe := range []struct{ method, path string }{
@@ -196,20 +218,22 @@ func TestBadRequestsAndNotFound(t *testing.T) {
 	}
 }
 
-// blockShard parks the single shard of st on an op that waits for the
-// returned release func, so tests can fill the queue deterministically.
-func blockShard(t *testing.T, st *Store) (release func()) {
+// blockShards parks every shard of st on an op that waits for the returned
+// release func, so tests can fill the queues deterministically.
+func blockShards(t *testing.T, st *Store) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
-	started := make(chan struct{})
-	go func() {
-		_, _ = st.do(nil, st.shards[0], func(trace.SpanContext) (any, error) {
-			close(started)
-			<-gate
-			return nil, nil
-		})
-	}()
-	<-started
+	for _, sh := range st.shards {
+		started := make(chan struct{})
+		go func() {
+			_, _ = st.do(nil, sh, func(trace.SpanContext) (any, error) {
+				close(started)
+				<-gate
+				return nil, nil
+			})
+		}()
+		<-started
+	}
 	return func() { close(gate) }
 }
 
@@ -222,7 +246,7 @@ func TestAdmissionControl(t *testing.T) {
 	var created CreateResponse
 	doJSON(t, "POST", ts.URL+"/v1/sessions", CreateRequest{Spec: m.Spec()}, &created)
 
-	release := blockShard(t, st)
+	release := blockShards(t, st)
 	// Fill the one queue slot.
 	filled := make(chan struct{})
 	go func() {
@@ -268,7 +292,7 @@ func TestRequestDeadline(t *testing.T) {
 	var created CreateResponse
 	doJSON(t, "POST", ts.URL+"/v1/sessions", CreateRequest{Spec: m.Spec()}, &created)
 
-	release := blockShard(t, srv.Store())
+	release := blockShards(t, srv.Store())
 	resp := doJSON(t, "POST", ts.URL+"/v1/sessions/"+created.ID+"/events",
 		online.Event{Arrive: []int{0}}, nil)
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -306,6 +330,58 @@ func TestSessionLimit(t *testing.T) {
 	if reg.CounterValue("server.rejected.session_limit") != 1 {
 		t.Error("session_limit counter not incremented")
 	}
+
+	// Concurrent creates that hash to different shards must not overshoot
+	// the cap. With every shard parked, all of them are queued before any
+	// runs, so a cap checked at admission would let every one through.
+	reg = obs.NewRegistry()
+	st, err := NewStore(Config{Shards: 4, MaxSessions: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	release := blockShards(t, st)
+	const creates = 32
+	errs := make(chan error, creates)
+	for k := 0; k < creates; k++ {
+		go func() {
+			_, _, err := st.Create(nil, m)
+			errs <- err
+		}()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for queued := 0; queued != creates; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d creates queued", queued, creates)
+		}
+		time.Sleep(time.Millisecond)
+		queued = 0
+		for _, sh := range st.shards {
+			queued += len(sh.ops)
+		}
+	}
+	release()
+	created, limited := 0, 0
+	for k := 0; k < creates; k++ {
+		switch err := <-errs; {
+		case err == nil:
+			created++
+		case errors.Is(err, ErrSessionLimit):
+			limited++
+		default:
+			t.Fatalf("concurrent create: %v", err)
+		}
+	}
+	if created != 2 || limited != creates-2 || st.Len() != 2 {
+		t.Fatalf("%d concurrent creates on 4 shards with MaxSessions 2: %d created, %d limited, %d live",
+			creates, created, limited, st.Len())
+	}
+	if got := reg.CounterValue("server.rejected.session_limit"); got != creates-2 {
+		t.Errorf("session_limit counter %d, want %d", got, creates-2)
+	}
+	if got := reg.GaugeValue("server.sessions"); got != 2 {
+		t.Errorf("server.sessions gauge %d, want 2", got)
+	}
 }
 
 func TestDrainFlushesQueue(t *testing.T) {
@@ -320,7 +396,7 @@ func TestDrainFlushesQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	release := blockShard(t, st)
+	release := blockShards(t, st)
 	// Queue three steps behind the blocker, then drain.
 	const queued = 3
 	results := make(chan error, queued)

@@ -70,8 +70,9 @@ type Config struct {
 	// RequestTimeout is the per-request deadline the HTTP layer applies to
 	// every /v1 operation. Zero means 5s.
 	RequestTimeout time.Duration
-	// Engine is the core.Options template every hosted session runs with.
-	// The engine is sequential; shards parallelize across sessions.
+	// Engine is ignored: hosted sessions run the default engine (see
+	// sessionOptions). It stays only because cmd/specperf, a separate
+	// module, still sets it.
 	Engine core.Options
 	// Metrics receives the server.* instrumentation (names in PROTOCOL.md).
 	// Nil disables it.
@@ -90,13 +91,8 @@ type Config struct {
 	// are preserved even if the process never receives a signal.
 	OnServerError func()
 
-	// SessionEvents bounds each hosted session's protocol-event recorder:
-	// every Create gives the session its OWN bounded trace.Recorder keeping
-	// at most this many events (overflow is counted, not retained), so a
-	// long-lived session cannot grow without bound and shards never share
-	// recorder state. Zero means 4096; negative disables per-session
-	// recording entirely. A Recorder set on the Engine template is ignored —
-	// sharing one recorder across shards would race.
+	// SessionEvents is ignored: hosted sessions record no protocol events.
+	// It stays only because cmd/specperf, a separate module, still sets it.
 	SessionEvents int
 
 	// DataDir, when non-empty, makes the store durable: every mutation
@@ -167,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
-	}
-	if c.SessionEvents == 0 {
-		c.SessionEvents = 4096
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 4096
@@ -276,7 +269,7 @@ type Store struct {
 	draining bool
 
 	nextID atomic.Uint64
-	live   atomic.Int64 // live sessions, for the MaxSessions admission check
+	live   atomic.Int64 // live sessions; insert claims slots against MaxSessions
 	wg     sync.WaitGroup
 
 	sessGauge       *obs.Gauge
@@ -392,21 +385,14 @@ func (st *Store) shardDir(i int) string {
 }
 
 // sessionOptions builds the engine options a hosted session runs with: the
-// store's Engine template plus the session's own bounded recorder (never
-// shared across shards), the store's flight recorder, and the store's
-// metrics registry so the engines' core.* / core.incremental.* counters
-// (names in PROTOCOL.md) aggregate into the server's /debug/metrics dump.
-// Used identically on Create and on WAL recovery, so a recovered session's
-// engine is configured exactly like the original's.
+// default engine plus the store's flight recorder, so a step's spans nest
+// under its shard op, and the store's metrics registry, so the engines'
+// core.* / core.incremental.* counters (names in PROTOCOL.md) aggregate into
+// the server's /debug/metrics dump. Used identically on Create, fork and WAL
+// replay, so a recovered, replicated or forked session's engine is
+// configured exactly like the original's.
 func (st *Store) sessionOptions() core.Options {
-	eng := st.cfg.Engine
-	eng.Recorder = nil
-	if st.cfg.SessionEvents > 0 {
-		eng.Recorder = trace.NewBoundedRecorder(st.cfg.SessionEvents)
-	}
-	eng.Flight = st.cfg.Flight
-	eng.Metrics = st.cfg.Metrics
-	return eng
+	return core.Options{Flight: st.cfg.Flight, Metrics: st.cfg.Metrics}
 }
 
 // runShard is a shard's event loop: it owns the shard's session map and
@@ -593,13 +579,37 @@ func (st *Store) do(ctx context.Context, sh *shard, fn func(sc trace.SpanContext
 	}
 }
 
-// Create places a new session for the market on a shard and returns its id
-// and initial snapshot. The market must already be validated.
-func (st *Store) Create(ctx context.Context, m *market.Market) (string, online.Snapshot, error) {
-	if st.live.Load() >= int64(st.cfg.MaxSessions) {
-		st.rejectLimit.Inc()
-		return "", online.Snapshot{}, ErrSessionLimit
+// insert adds the session build returns to sh under id, on sh's goroutine.
+// It claims a MaxSessions slot with a compare-and-swap before build runs, so
+// creates and forks racing on different shards cannot overshoot the cap,
+// and releases the slot if build fails.
+func (st *Store) insert(sh *shard, id string, build func() (*online.Session, error)) (*online.Session, error) {
+	for {
+		n := st.live.Load()
+		if n >= int64(st.cfg.MaxSessions) {
+			st.rejectLimit.Inc()
+			return nil, ErrSessionLimit
+		}
+		if st.live.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
+	s, err := build()
+	if err != nil {
+		st.live.Add(-1)
+		return nil, err
+	}
+	sh.sessions[id] = s
+	sh.sessGauge.Add(1)
+	st.sessGauge.Add(1)
+	return s, nil
+}
+
+// Create places a new session for the market on a shard and returns its id
+// and initial snapshot. The market must already be validated. A create
+// rejected at the MaxSessions cap still consumes an id, so ids need not be
+// contiguous.
+func (st *Store) Create(ctx context.Context, m *market.Market) (string, online.Snapshot, error) {
 	id := fmt.Sprintf("m%08x", st.nextID.Add(1))
 	sh := st.shardOf(id)
 	v, err := st.do(ctx, sh, func(trace.SpanContext) (any, error) {
@@ -607,16 +617,13 @@ func (st *Store) Create(ctx context.Context, m *market.Market) (string, online.S
 		if sh.dir != nil {
 			d = sh.prepareDurable(wal.TypeCreate, eventlog.Create{ID: id, Spec: m.Spec()}.Encode())
 		}
-		// Each session owns its engine options; see sessionOptions.
-		s, err := online.NewSession(m, st.sessionOptions())
+		s, err := st.insert(sh, id, func() (*online.Session, error) {
+			return online.NewSession(m, st.sessionOptions())
+		})
 		if err != nil {
 			return nil, err
 		}
-		sh.sessions[id] = s
-		sh.sessGauge.Add(1)
-		st.sessGauge.Add(1)
 		st.created.Inc()
-		st.live.Add(1)
 		return d.result(s.Snapshot()), nil
 	})
 	if err != nil {
@@ -644,12 +651,12 @@ func (st *Store) Step(ctx context.Context, id string, ev online.Event) (online.S
 }
 
 // StepBatch applies a batch of churn events to a session as ONE shard
-// operation: every event is validated against the session's market before
-// anything is applied (validation is static in the market's dimensions), so
-// one bad event rejects the whole batch with the session untouched — the
-// single-event contract, batch-wide. Each applied event gets its own WAL
-// record and LSN; the batch is acknowledged once, when the last record is
-// durable.
+// operation: every event is validated with online.Event.Validate before
+// anything is applied (it reads only the market's dimensions and whether it
+// has geometry, which no event changes), so one bad event rejects the whole
+// batch with the session untouched — the single-event contract,
+// batch-wide. Each applied event gets its own WAL record and LSN; the batch
+// is acknowledged once, when the last record is durable.
 func (st *Store) StepBatch(ctx context.Context, id string, events []online.Event) ([]StepResult, error) {
 	sh := st.shardOf(id)
 	v, err := st.do(ctx, sh, func(sc trace.SpanContext) (any, error) {
@@ -657,16 +664,8 @@ func (st *Store) StepBatch(ctx context.Context, id string, events []online.Event
 		if !ok {
 			return nil, ErrNotFound
 		}
-		m := s.Market()
 		for k, ev := range events {
-			err := ev.Validate(m.M(), m.N())
-			if err == nil && len(ev.Move) > 0 && !m.HasGeometry() {
-				// Pre-checked here, not left to StepTraced: a mid-batch
-				// geometry failure would break the all-or-nothing contract
-				// after earlier events had already been applied and logged.
-				err = fmt.Errorf("move events need a market with geometry (positions and ranges)")
-			}
-			if err != nil {
+			if err := ev.Validate(s.Market()); err != nil {
 				if len(events) > 1 {
 					return nil, fmt.Errorf("event %d: %w", k, err)
 				}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -149,46 +148,6 @@ func TestOnServerErrorHook(t *testing.T) {
 	}
 	if fired != 0 {
 		t.Fatalf("hook fired on a 404")
-	}
-}
-
-// TestSessionRecorderBounded: hosted sessions get the bounded recorder by
-// default so a long-lived session cannot grow its event log without limit.
-func TestSessionRecorderBounded(t *testing.T) {
-	fl := trace.NewFlight(1 << 12)
-	srv, ts := newTestServer(t, Config{Shards: 1, Flight: fl, SessionEvents: 8})
-	m := testMarket(t, 3, 12, 3)
-	var created CreateResponse
-	doJSON(t, "POST", ts.URL+"/v1/sessions", CreateRequest{Spec: m.Spec()}, &created)
-	for k := 0; k < 6; k++ {
-		doJSON(t, "POST", ts.URL+"/v1/sessions/"+created.ID+"/events",
-			online.Event{Arrive: []int{2 * k}}, nil)
-	}
-	// Inspect the session on its own shard goroutine (the sessions map has
-	// no lock by design — the event loop owns it).
-	st := srv.Store()
-	checked := 0
-	for _, sh := range st.shards {
-		sh := sh
-		_, err := st.do(context.Background(), sh, func(trace.SpanContext) (any, error) {
-			for _, s := range sh.sessions {
-				checked++
-				rec := s.Recorder()
-				if !rec.Bounded() {
-					t.Error("hosted session recorder is not bounded")
-				}
-				if rec.Len() > 8 {
-					t.Errorf("recorder kept %d events, bound is 8", rec.Len())
-				}
-			}
-			return nil, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if checked != 1 {
-		t.Fatalf("inspected %d sessions, want 1", checked)
 	}
 }
 

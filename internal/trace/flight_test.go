@@ -251,31 +251,3 @@ func TestContextPropagation(t *testing.T) {
 		t.Errorf("FromContext = %v, want %v", got, sc)
 	}
 }
-
-func TestBoundedRecorderDrops(t *testing.T) {
-	r := NewBoundedRecorder(4)
-	if !r.Bounded() {
-		t.Fatal("NewBoundedRecorder must report Bounded")
-	}
-	for k := 0; k < 10; k++ {
-		r.Record(Event{Round: k, Kind: KindPropose})
-	}
-	if r.Len() != 4 {
-		t.Errorf("Len = %d, want 4", r.Len())
-	}
-	if r.Dropped() != 6 {
-		t.Errorf("Dropped = %d, want 6", r.Dropped())
-	}
-	for k, e := range r.Events() {
-		if e.Round != k {
-			t.Errorf("kept event %d has round %d; must keep the first events", k, e.Round)
-		}
-	}
-	if NewRecorder().Bounded() {
-		t.Error("plain recorder must not report Bounded")
-	}
-	var nilRec *Recorder
-	if nilRec.Dropped() != 0 || nilRec.Bounded() {
-		t.Error("nil recorder must report no drops")
-	}
-}

@@ -65,50 +65,19 @@ func (e Event) String() string {
 }
 
 // Recorder accumulates events. A nil *Recorder is valid and discards
-// everything, so call sites never need nil checks.
-//
-// The plain NewRecorder grows without bound — fine for a test or CLI
-// inspecting one run, wrong for a long-lived session that steps forever.
-// NewBoundedRecorder keeps the first limit events and counts the rest as
-// dropped; the serving layer defaults hosted sessions to it.
+// everything, so call sites never need nil checks. It grows without bound:
+// it is for a test or CLI inspecting one run, not for a long-lived session
+// that steps forever.
 type Recorder struct {
-	events  []Event
-	limit   int // 0 = unbounded
-	dropped int64
+	events []Event
 }
 
-// NewRecorder returns an empty, unbounded recorder.
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// NewBoundedRecorder returns a recorder that keeps at most limit events and
-// counts overflow in Dropped. A non-positive limit falls back to 4096.
-func NewBoundedRecorder(limit int) *Recorder {
-	if limit <= 0 {
-		limit = 4096
-	}
-	return &Recorder{limit: limit}
-}
-
-// Bounded reports whether the recorder drops events past a limit.
-func (r *Recorder) Bounded() bool { return r != nil && r.limit > 0 }
-
-// Dropped returns the number of events discarded at the bound; zero on nil
-// or unbounded recorders.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
-
-// Record appends an event. No-op on a nil recorder; on a full bounded
-// recorder the event is counted as dropped instead of retained.
+// Record appends an event. No-op on a nil recorder.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
-		return
-	}
-	if r.limit > 0 && len(r.events) >= r.limit {
-		r.dropped++
 		return
 	}
 	r.events = append(r.events, e)
