@@ -71,7 +71,6 @@ func run(args []string, out io.Writer) error {
 		flightCap      = fs.Int("flight", 1<<16, "flight-recorder capacity in spans, a bounded ring always recording (0 disables tracing)")
 		traceDump      = fs.String("trace-dump", "specserved-trace.json", "flight-recorder dump path, written on SIGQUIT, on any 5xx (rate-limited), and at drain")
 		dataDir        = fs.String("data-dir", "", "durable session state: per-shard WAL + checkpoints under this directory; events ack only after fsync, startup recovers every session (empty = in-memory only)")
-		fsyncInterval  = fs.Duration("fsync-interval", 0, "WAL fsync batching interval (0 = 2ms default; negative = fsync every append)")
 		checkpointEach = fs.Int("checkpoint-every", 4096, "checkpoint + truncate a shard's WAL after this many durable records (negative = only at startup and drain)")
 		walRepair      = fs.Bool("wal-repair", false, "on recovery, truncate at mid-log corruption instead of refusing to start (data past the corruption is lost)")
 		follow         = fs.String("follow", "", "run as a read-only replica of this leader URL (e.g. http://127.0.0.1:7937): tail every shard's WAL stream, apply locally, serve reads; requires -data-dir. POST /v1/replica/promote turns the node into a leader")
@@ -124,7 +123,6 @@ func run(args []string, out io.Writer) error {
 		Flight:          fl,
 		OnServerError:   dump.onServerError,
 		DataDir:         *dataDir,
-		FsyncInterval:   *fsyncInterval,
 		CheckpointEvery: *checkpointEach,
 		WALRepair:       *walRepair,
 		SampleInterval:  *sampleInterval,

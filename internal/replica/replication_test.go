@@ -58,7 +58,6 @@ func startNode(t *testing.T, dir string, shards, ckptEvery int) *node {
 	srv, err := server.New(server.Config{
 		Shards:          shards,
 		DataDir:         dir,
-		FsyncInterval:   time.Millisecond,
 		CheckpointEvery: ckptEvery,
 		Metrics:         reg,
 	})

@@ -22,15 +22,13 @@ import (
 	"specmatch/internal/wal"
 )
 
-// durableConfig is the standard test configuration for a durable store: a
-// short fsync batch so tests don't wait, and a registry so the server.wal.*
-// metrics are exercised.
+// durableConfig is the standard test configuration for a durable store,
+// with a registry so the server.wal.* metrics are exercised.
 func durableConfig(dir string, shards int) Config {
 	return Config{
-		Shards:        shards,
-		DataDir:       dir,
-		FsyncInterval: time.Millisecond,
-		Metrics:       obs.NewRegistry(),
+		Shards:  shards,
+		DataDir: dir,
+		Metrics: obs.NewRegistry(),
 	}
 }
 
@@ -687,7 +685,7 @@ func durableConfigLike(cfg Config) Config {
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a genuine log image produced by a real durable store.
 	seedDir := f.TempDir()
-	cfg := Config{Shards: 1, DataDir: seedDir, FsyncInterval: -1}
+	cfg := Config{Shards: 1, DataDir: seedDir}
 	st, err := NewStore(cfg)
 	if err != nil {
 		f.Fatal(err)
@@ -759,7 +757,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 
 		// Strict recovery: a clean refusal or a consistent store.
-		st, err := NewStore(Config{Shards: 1, DataDir: dir, FsyncInterval: -1})
+		st, err := NewStore(Config{Shards: 1, DataDir: dir})
 		if err == nil {
 			checkConsistent(t, st)
 			st.Close()
@@ -781,7 +779,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(shardDir2, "wal-0000000000000001.log"), logData, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st2, err := NewStore(Config{Shards: 1, DataDir: dir2, FsyncInterval: -1, WALRepair: true})
+		st2, err := NewStore(Config{Shards: 1, DataDir: dir2, WALRepair: true})
 		if err != nil {
 			t.Fatalf("repair mode refused a log image: %v", err)
 		}
@@ -791,7 +789,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		// Determinism: recovering the repaired store's checkpoint again is
 		// the identity.
-		st3, err := NewStore(Config{Shards: 1, DataDir: dir2, FsyncInterval: -1})
+		st3, err := NewStore(Config{Shards: 1, DataDir: dir2})
 		if err != nil {
 			t.Fatalf("re-recovery of a repaired dir failed: %v", err)
 		}

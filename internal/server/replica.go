@@ -331,6 +331,8 @@ func (c *streamConn) WriteBatch(b []byte) error {
 // whatever is already in the files (prefixed, when N is below the
 // truncation horizon, by one TypeSnapshot record shipped from the newest
 // checkpoint), then live batches straight from the WAL's post-fsync hook.
+// Every record it ships is durable on the leader: the file catch-up stops
+// at the feed's published LSN, and the feed publishes only after fsync.
 // The bytes after the leading magic are frame-identical to the on-disk log.
 //
 // Registered outside route(): a replication stream must not carry the
@@ -391,16 +393,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Catch up from the files, then go live on the feed. Attach refuses
-	// while the feed's published high-water is past our cursor, which is
-	// exactly when the files hold records we have not read yet — so the
-	// loop always progresses, and once the tail reaches the durable tail
-	// Attach must succeed (nothing publishes before it is durable).
+	// Catch up from the files, then go live on the feed. The files are read
+	// only up to the feed's published LSN: the log writes a batch before it
+	// fsyncs it, and a record shipped from that window could be lost in a
+	// crash and its LSN reused. Attach refuses while the feed's published
+	// high-water is past our cursor, which is exactly when the files hold
+	// published records we have not read yet — so the loop always
+	// progresses, and once the tail reaches the published tail Attach must
+	// succeed; held-back records then arrive through the feed.
 	t := wal.OpenTail(dir, cursor)
 	defer t.Close()
 	sub := replica.NewSubscriber(&streamConn{w: w, rc: rc})
 	for {
-		recs, err := t.Next()
+		recs, err := t.Next(sh.feed.Last())
 		if err != nil {
 			return // mid-log damage or I/O error: drop the stream
 		}

@@ -98,15 +98,12 @@ type Config struct {
 	// DataDir, when non-empty, makes the store durable: every mutation
 	// (create, applied event, adopting rebuild, delete) is written to a
 	// per-shard write-ahead log under DataDir and acknowledged only after
-	// the append is fsynced; periodic checkpoints bound replay time. On
+	// the append is fsynced; periodic checkpoints bound replay time. Fsyncs
+	// are group commits: a shard's log syncs as soon as a record is waiting,
+	// and records appended during a sync share the next one. On
 	// construction the store recovers every session from the newest
 	// checkpoint plus log replay. Empty keeps the store purely in-memory.
 	DataDir string
-	// FsyncInterval batches WAL fsyncs: appends accumulate and are synced
-	// together at this interval, so acknowledgement latency is bounded by
-	// it while throughput stays decoupled from fsync rate. Zero means 2ms;
-	// negative fsyncs every append (strict mode, mainly for tests).
-	FsyncInterval time.Duration
 	// CheckpointEvery rotates a shard's log after this many durable
 	// records: the shard state is snapshotted atomically and the old log
 	// deleted. Zero means 4096; negative disables periodic checkpoints
@@ -398,12 +395,13 @@ func (st *Store) sessionOptions() core.Options {
 // runShard is a shard's event loop: it owns the shard's session map and
 // executes admitted operations one at a time, in admission order, until the
 // queue is closed and drained. On a durable store, mutations are appended
-// to the shard's WAL here and acknowledged from the fsync batcher — the
-// loop itself never waits on disk, so one shard's fsync latency never
-// stalls its queue. On exit the shard takes a final checkpoint and closes
-// its log, which blocks until every acknowledged record is on disk: that is
-// the drain barrier making SIGTERM lossless end to end
-// (accepted == applied == durable).
+// to the shard's WAL here and acknowledged from the log's syncer once their
+// group commit is fsynced — the loop itself never waits on disk, so it
+// keeps stepping while a sync is in flight, and whatever it appends
+// meanwhile goes out in the next sync. On exit the shard takes a final
+// checkpoint and closes its log, which blocks until every acknowledged
+// record is on disk: that is the drain barrier making SIGTERM lossless end
+// to end (accepted == applied == durable).
 func (st *Store) runShard(sh *shard) {
 	defer st.wg.Done()
 	for o := range sh.ops {

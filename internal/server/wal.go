@@ -111,7 +111,7 @@ func (st *Store) openWAL() error {
 	// from checkpoints, replayed create records, and live session ids.
 	var maxID uint64
 	for i, sh := range st.shards {
-		dir, recd, err := wal.Open(st.shardDir(i), st.cfg.FsyncInterval, st.cfg.WALRepair, stats)
+		dir, recd, err := wal.Open(st.shardDir(i), st.cfg.WALRepair, stats)
 		if err != nil {
 			return fmt.Errorf("server: shard %d: %w (restart with WAL repair to truncate at the corruption)", i, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Recovered is what Open found on disk: the newest readable checkpoint and
@@ -42,7 +41,6 @@ type Recovered struct {
 // the shard goroutine; Sync/Close may be called during shutdown.
 type Dir struct {
 	path      string
-	every     time.Duration
 	stats     SyncStats
 	onDurable DurableFunc
 	gen       uint64
@@ -61,12 +59,12 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 	return g, err == nil
 }
 
-// Open recovers a shard directory (creating it if absent). every is the
-// log's fsync batching interval (see Create); repair tolerates mid-log and
-// mid-checkpoint corruption by dropping everything from the first corrupt
-// frame on. After Open the Dir has no writable log yet: call Checkpoint
-// with the rebuilt state first.
-func Open(path string, every time.Duration, repair bool, stats SyncStats) (*Dir, *Recovered, error) {
+// Open recovers a shard directory (creating it if absent). repair
+// tolerates mid-log and mid-checkpoint corruption by dropping everything
+// from the first corrupt frame on; stats observes every fsync of the logs
+// the Dir creates. After Open the Dir has no writable log yet: call
+// Checkpoint with the rebuilt state first.
+func Open(path string, repair bool, stats SyncStats) (*Dir, *Recovered, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -74,7 +72,7 @@ func Open(path string, every time.Duration, repair bool, stats SyncStats) (*Dir,
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &Dir{path: path, every: every, stats: stats, gen: maxU64(snapGen, lastU64(logGens))}
+	d := &Dir{path: path, stats: stats, gen: maxU64(snapGen, lastU64(logGens))}
 	return d, rec, nil
 }
 
@@ -250,7 +248,7 @@ func (d *Dir) Checkpoint(lsn uint64, body []byte) error {
 	// aborts with the old generation fully intact and the shard keeps
 	// appending to its current log.
 	nextLog := filepath.Join(d.path, logName(next))
-	nl, err := Create(nextLog, d.every, d.stats)
+	nl, err := Create(nextLog, d.stats)
 	if err != nil {
 		return err
 	}

@@ -7,13 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // openClean opens a dir and fails the test on error.
 func openClean(t *testing.T, path string) (*Dir, *Recovered) {
 	t.Helper()
-	d, rec, err := Open(path, time.Millisecond, false, nil)
+	d, rec, err := Open(path, false, nil)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", path, err)
 	}
@@ -165,10 +164,10 @@ func TestDirMidLogCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := Open(path, time.Millisecond, false, nil); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Open(path, false, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open without repair: err = %v, want ErrCorrupt", err)
 	}
-	_, rec, err := Open(path, time.Millisecond, true, nil)
+	_, rec, err := Open(path, true, nil)
 	if err != nil {
 		t.Fatalf("Open with repair: %v", err)
 	}
@@ -209,10 +208,10 @@ func TestDirCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := Open(path, time.Millisecond, false, nil); err == nil {
+	if _, _, err := Open(path, false, nil); err == nil {
 		t.Fatal("Open accepted an unreadable newest checkpoint without repair")
 	}
-	_, rec, err := Open(path, time.Millisecond, true, nil)
+	_, rec, err := Open(path, true, nil)
 	if err != nil {
 		t.Fatalf("Open with repair: %v", err)
 	}
@@ -364,10 +363,10 @@ func TestDirTornSupersededLogIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := Open(path, time.Millisecond, false, nil); err == nil {
+	if _, _, err := Open(path, false, nil); err == nil {
 		t.Fatal("Open accepted a torn superseded log without repair")
 	}
-	_, rec, err := Open(path, time.Millisecond, true, nil)
+	_, rec, err := Open(path, true, nil)
 	if err != nil {
 		t.Fatalf("Open with repair: %v", err)
 	}

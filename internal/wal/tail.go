@@ -96,19 +96,23 @@ func NewestSnapshot(path string) (body []byte, lsn uint64, ok bool, err error) {
 
 // Tail follows a live shard directory's log files, in LSN order, across
 // checkpoint rotations, without coordinating with the writer: it reads
-// bytes that are already on disk and treats an incomplete final frame as
-// "not yet" rather than "torn". The writer's rotation protocol makes the
-// generation switch observable: a superseded log is fully synced before the
-// rotation completes, and its path is unlinked only after the next
-// generation is durable — so Tail switches generations exactly when the
-// file it is reading has disappeared from the directory and it has consumed
-// the file to a clean end.
+// bytes that are already in the files and treats an incomplete final frame
+// as "not yet" rather than "torn". Bytes in a file are not yet durable — a
+// Log writes a batch before it fsyncs it — so Next releases only records up
+// to a bound the caller knows to be durable and holds back the rest. The
+// writer's rotation protocol makes the generation switch observable: a
+// superseded log is fully synced before the rotation completes, and its
+// path is unlinked only after the next generation is durable — so Tail
+// switches generations exactly when the file it is reading has disappeared
+// from the directory and it has consumed the file to a clean end.
 //
 // Tail is not safe for concurrent use.
 type Tail struct {
 	dir       string
-	cursor    uint64 // emit only records with LSN > cursor
-	gen       uint64 // generation currently open; 0 = none yet
+	cursor    uint64   // highest LSN returned (or the starting point)
+	held      []Record // read but past the last bound, in LSN order
+	seen      uint64   // highest LSN read: cursor, or the last held record
+	gen       uint64   // generation currently open; 0 = none yet
 	f         *os.File
 	off       int64
 	buf       []byte
@@ -118,7 +122,7 @@ type Tail struct {
 // OpenTail prepares to read a shard directory's log records with LSN >
 // fromLSN. No I/O happens until Next.
 func OpenTail(dir string, fromLSN uint64) *Tail {
-	return &Tail{dir: dir, cursor: fromLSN}
+	return &Tail{dir: dir, cursor: fromLSN, seen: fromLSN}
 }
 
 // Cursor returns the highest LSN returned so far (or the starting point).
@@ -134,11 +138,26 @@ func (t *Tail) Close() error {
 	return err
 }
 
-// Next returns every record now readable past the cursor, or nil when the
-// tail is (currently) caught up — the caller polls. A nil, nil return is
-// never an error; real damage (mid-log corruption) is.
-func (t *Tail) Next() ([]Record, error) {
+// Next returns, in LSN order, every record now readable past the cursor
+// with LSN ≤ upTo, or nil when there is none yet — the caller polls.
+// Records the files already hold past upTo are kept back, in order, until a
+// later call's bound covers them; callers pass the highest LSN they know
+// to be durable, so Next never hands out a record a crash could still take
+// back. A nil, nil return is never an error; real damage (mid-log
+// corruption) is.
+func (t *Tail) Next(upTo uint64) ([]Record, error) {
 	var out []Record
+	n := 0
+	for n < len(t.held) && t.held[n].LSN <= upTo {
+		n++
+	}
+	out, t.held = append(out, t.held[:n]...), t.held[n:]
+	if n > 0 {
+		t.cursor = out[n-1].LSN
+	}
+	if len(t.held) > 0 {
+		return out, nil // anything read now would be past upTo as well
+	}
 	for {
 		if t.f == nil {
 			ok, err := t.open()
@@ -149,7 +168,7 @@ func (t *Tail) Next() ([]Record, error) {
 				return out, nil // nothing to read yet
 			}
 		}
-		if err := t.drain(&out); err != nil {
+		if err := t.drain(&out, upTo); err != nil {
 			return out, err
 		}
 		// Clean end of the readable bytes. If the file is still in the
@@ -162,7 +181,7 @@ func (t *Tail) Next() ([]Record, error) {
 		} else if !os.IsNotExist(serr) {
 			return out, serr
 		}
-		if err := t.drain(&out); err != nil {
+		if err := t.drain(&out, upTo); err != nil {
 			return out, err
 		}
 		if len(t.buf) > 0 {
@@ -174,13 +193,20 @@ func (t *Tail) Next() ([]Record, error) {
 	}
 }
 
-// drain reads all currently complete frames and appends the new ones to out.
-func (t *Tail) drain(out *[]Record) error {
+// drain reads all currently complete frames: the new ones up to upTo go to
+// out, and the first past it and everything after go to held.
+func (t *Tail) drain(out *[]Record, upTo uint64) error {
 	recs, err := t.read()
 	for _, r := range recs {
-		if r.LSN > t.cursor {
+		if r.LSN <= t.seen {
+			continue // resume or rotation overlap
+		}
+		t.seen = r.LSN
+		if len(t.held) == 0 && r.LSN <= upTo {
 			t.cursor = r.LSN
 			*out = append(*out, r)
+		} else {
+			t.held = append(t.held, r)
 		}
 	}
 	return err

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
-	"time"
 )
 
 // openDir opens a Dir and writes the initial checkpoint that creates the
@@ -13,7 +13,7 @@ import (
 // any append.
 func openDir(t *testing.T, dir string) *Dir {
 	t.Helper()
-	d, _, err := Open(dir, time.Millisecond, false, nil)
+	d, _, err := Open(dir, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,6 +33,10 @@ func appendWait(t *testing.T, d *Dir, r Record) {
 		t.Fatal(err)
 	}
 }
+
+// all is a Next bound that holds nothing back, for logs whose every record
+// is already durable.
+const all = ^uint64(0)
 
 func stepRecord(lsn uint64) Record {
 	return Record{Type: TypeStep, LSN: lsn, Body: []byte(`{"id":"m1","event":{}}`)}
@@ -96,7 +100,7 @@ func TestTailAcrossRotation(t *testing.T) {
 	drain := func() {
 		t.Helper()
 		for {
-			recs, err := tl.Next()
+			recs, err := tl.Next(all)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +143,7 @@ func TestTailAcrossRotation(t *testing.T) {
 	defer tl2.Close()
 	var resumed []uint64
 	for {
-		recs, err := tl2.Next()
+		recs, err := tl2.Next(all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,6 +156,57 @@ func TestTailAcrossRotation(t *testing.T) {
 	}
 	if len(resumed) != 2 || resumed[0] != 8 || resumed[1] != 9 {
 		t.Fatalf("resume from 7: got %v, want [8 9]", resumed)
+	}
+}
+
+// Next must hold back every record past its bound and release the held
+// records, in order and exactly once, when a later bound covers them —
+// also when the log they were read from has been rotated away meanwhile.
+func TestTailHoldsPastBound(t *testing.T) {
+	dir := t.TempDir()
+	d := openDir(t, dir)
+	for lsn := uint64(1); lsn <= 3; lsn++ {
+		appendWait(t, d, stepRecord(lsn))
+	}
+	tl := OpenTail(dir, 0)
+	defer tl.Close()
+	var got []uint64
+	next := func(upTo uint64, want ...uint64) {
+		t.Helper()
+		recs, err := tl.Next(upTo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lsns []uint64
+		for _, r := range recs {
+			lsns = append(lsns, r.LSN)
+		}
+		if !slices.Equal(lsns, want) {
+			t.Fatalf("Next(%d) = %v, want %v", upTo, lsns, want)
+		}
+		got = append(got, lsns...)
+	}
+	next(1, 1)
+	next(1)
+	if tl.Cursor() != 1 {
+		t.Fatalf("cursor = %d, want 1 (held records are not returned)", tl.Cursor())
+	}
+
+	// Rotate away the log that holds 2 and 3, then append 4 and 5 to the
+	// next generation.
+	if err := d.Checkpoint(3, []byte("ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	for lsn := uint64(4); lsn <= 5; lsn++ {
+		appendWait(t, d, stepRecord(lsn))
+	}
+	next(2, 2)
+	next(4, 3, 4)
+	next(4)
+	next(all, 5)
+	next(all)
+	if !slices.Equal(got, []uint64{1, 2, 3, 4, 5}) || tl.Cursor() != 5 {
+		t.Fatalf("got %v with cursor %d, want 1..5 with cursor 5", got, tl.Cursor())
 	}
 }
 

@@ -2,7 +2,13 @@
 // append-only, CRC32C-framed log of applied session mutations plus periodic
 // full-state checkpoints, one directory per store shard so the shard's
 // goroutine-owned queue stays lock-free (the only cross-goroutine structure
-// is the fsync batcher, which the shard never waits on).
+// is each log's syncer, which the shard never waits on).
+//
+// Durability is group commit: an append joins the pending batch and wakes
+// the syncer, which writes and fsyncs the batch at once if it is idle, or
+// right after the write+fsync in flight. A record's callback fires only
+// after the fsync that covers it, so an acknowledgement built on it means
+// the record is on disk.
 //
 // The package is deliberately dumb about payloads — bodies are opaque bytes
 // (the server layer stores JSON) — so the framing, batching, rotation, and
@@ -220,20 +226,22 @@ type SyncStats func(records, bytes int, took time.Duration)
 // must not block indefinitely: the fsync path waits on it.
 type DurableFunc func(batch []byte, lastLSN uint64)
 
-// Log is an append-only record file with batched fsync. Append is called
-// only by the owning shard goroutine; the durability callbacks fire from
-// the log's syncer goroutine (or inline when FsyncInterval < 0). A Log
-// never reorders: bytes reach the file in append order, and a callback
-// fires only after every byte up to and including its record is fsynced.
+// Log is an append-only record file with group commit. Append is called
+// only by the owning shard goroutine and never waits on disk: it adds the
+// record to the pending batch and kicks the log's syncer goroutine, which
+// writes and fsyncs whatever is pending each time it is kicked. An idle log
+// therefore fsyncs a lone record at once, and records appended while a
+// write+fsync is in flight form the next batch. A Log never reorders: bytes
+// reach the file in append order, and a callback fires only after every
+// byte up to and including its record is fsynced.
 type Log struct {
 	path  string
-	every time.Duration
 	stats SyncStats
 
 	// flushMu serializes whole flushes: the file write happens outside mu
 	// (so appends never wait on disk), and without this two concurrent
-	// flushes — e.g. Sync's close-race fallback against Close's own flush —
-	// could write their batches out of order on the non-O_APPEND fd.
+	// flushes — the syncer's against Sync's or Close's — could write their
+	// batches out of order on the non-O_APPEND fd.
 	flushMu sync.Mutex
 
 	mu        sync.Mutex
@@ -246,19 +254,17 @@ type Log struct {
 	failed    error // sticky first write/sync error
 	closed    bool
 
-	syncReq chan chan error
-	done    chan struct{}
-	wg      sync.WaitGroup
-	size    int64
+	// kick wakes the syncer. One slot is enough: a kick already waiting
+	// means a flush is due that will take everything pending by then.
+	kick chan struct{}
+	done chan struct{}
+	wg   sync.WaitGroup
+	size int64
 }
 
 // Create creates (truncating) a log file, writes the magic, and starts the
-// syncer. every < 0 makes every append write+fsync inline (strict mode);
-// every == 0 defaults to 2ms.
-func Create(path string, every time.Duration, stats SyncStats) (*Log, error) {
-	if every == 0 {
-		every = 2 * time.Millisecond
-	}
+// syncer.
+func Create(path string, stats SyncStats) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -272,18 +278,15 @@ func Create(path string, every time.Duration, stats SyncStats) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		path:    path,
-		every:   every,
-		stats:   stats,
-		f:       f,
-		syncReq: make(chan chan error),
-		done:    make(chan struct{}),
-		size:    int64(len(Magic)),
+		path:  path,
+		stats: stats,
+		f:     f,
+		kick:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		size:  int64(len(Magic)),
 	}
-	if every > 0 {
-		l.wg.Add(1)
-		go l.syncer()
-	}
+	l.wg.Add(1)
+	go l.syncer()
 	return l, nil
 }
 
@@ -305,9 +308,9 @@ func (l *Log) Size() int64 {
 	return l.size + int64(len(l.pending))
 }
 
-// Append frames r into the pending batch; onDurable (optional) fires with
-// nil once the record is fsynced, or with the write error. In strict mode
-// (every < 0) the write+fsync happens before Append returns.
+// Append frames r into the pending batch and kicks the syncer; onDurable
+// (optional) fires with nil once the record is fsynced, or with the write
+// error. Append itself never blocks on disk.
 func (l *Log) Append(r Record, onDurable func(error)) {
 	l.mu.Lock()
 	if l.closed || l.failed != nil {
@@ -329,17 +332,17 @@ func (l *Log) Append(r Record, onDurable func(error)) {
 	if onDurable != nil {
 		l.cbs = append(l.cbs, onDurable)
 	}
-	strict := l.every < 0
 	l.mu.Unlock()
-	if strict {
-		l.flush()
+	select {
+	case l.kick <- struct{}{}:
+	default: // a kick is already waiting; its flush takes this record too
 	}
 }
 
-// flush writes and fsyncs the pending batch and fires its callbacks.
-// Callers may race (syncer tick, strict-mode append, Sync's close fallback,
-// Close itself); flushMu serializes them so batches reach the file in the
-// order they were taken from pending.
+// flush writes and fsyncs the pending batch, publishes it, and then fires
+// its callbacks. Callers may race (the syncer, Sync, Close); flushMu
+// serializes them so batches reach the file in the order they were taken
+// from pending, and callbacks fire in append order across batches.
 func (l *Log) flush() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -347,15 +350,7 @@ func (l *Log) flush() error {
 	buf, cbs, nrecs := l.pending, l.cbs, l.nrecs
 	batchLast, publish := l.lastLSN, l.onDurable
 	l.pending, l.cbs, l.nrecs = nil, nil, 0
-	if len(buf) == 0 {
-		err := l.failed
-		l.mu.Unlock()
-		for _, cb := range cbs {
-			cb(err)
-		}
-		return err
-	}
-	if l.failed != nil {
+	if len(buf) == 0 || l.failed != nil {
 		err := l.failed
 		l.mu.Unlock()
 		for _, cb := range cbs {
@@ -395,23 +390,24 @@ func (l *Log) flush() error {
 	return err
 }
 
+// syncer is the group-commit loop: one flush per kick, until Close. A kick
+// that arrives during a flush waits in its slot, so the records appended
+// meanwhile go out together in the next flush.
 func (l *Log) syncer() {
 	defer l.wg.Done()
-	t := time.NewTicker(l.every)
-	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-l.kick:
 			l.flush()
-		case done := <-l.syncReq:
-			done <- l.flush()
 		case <-l.done:
 			return
 		}
 	}
 }
 
-// Sync flushes the pending batch now and waits until it is durable.
+// Sync flushes the pending batch now and waits until it is durable: when
+// Sync returns, every record appended before the call is on disk (or the
+// log has failed, and Sync reports why).
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	if l.closed {
@@ -419,18 +415,8 @@ func (l *Log) Sync() error {
 		l.mu.Unlock()
 		return err
 	}
-	strict := l.every < 0
 	l.mu.Unlock()
-	if strict {
-		return l.flush()
-	}
-	done := make(chan error, 1)
-	select {
-	case l.syncReq <- done:
-		return <-done
-	case <-l.done:
-		return l.flush()
-	}
+	return l.flush()
 }
 
 // Close flushes, fsyncs, stops the syncer, and closes the file. Idempotent;
@@ -443,10 +429,8 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.mu.Unlock()
-	if l.every > 0 {
-		close(l.done)
-		l.wg.Wait()
-	}
+	close(l.done)
+	l.wg.Wait()
 	err := l.flush()
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = cerr

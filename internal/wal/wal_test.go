@@ -152,7 +152,9 @@ func TestScanFileMagic(t *testing.T) {
 }
 
 // Batched appends must become durable and fire every callback with nil, in
-// order, and the file must decode to exactly the appended records.
+// order, and the file must decode to exactly the appended records. Every
+// tenth append also calls Sync, as a checkpoint does, so Sync's flushes
+// race the syncer's.
 func TestLogAppendBatchedDurability(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal-test.log")
 	var (
@@ -160,7 +162,7 @@ func TestLogAppendBatchedDurability(t *testing.T) {
 		statRecs  int
 		statBytes int
 	)
-	l, err := Create(path, time.Millisecond, func(records, bytes int, _ time.Duration) {
+	l, err := Create(path, func(records, bytes int, _ time.Duration) {
 		statMu.Lock()
 		statRecs += records
 		statBytes += bytes
@@ -185,6 +187,11 @@ func TestLogAppendBatchedDurability(t *testing.T) {
 			orderMu.Unlock()
 			wg.Done()
 		})
+		if i%10 == 9 {
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	wg.Wait()
 	if err := l.Close(); err != nil {
@@ -218,38 +225,11 @@ func TestLogAppendBatchedDurability(t *testing.T) {
 	}
 }
 
-// Strict mode (every < 0) makes each Append durable before it returns.
-func TestLogStrictMode(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "strict.log")
-	l, err := Create(path, -1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	fired := false
-	l.Append(Record{Type: TypeCreate, LSN: 1, Body: []byte("now")}, func(err error) {
-		if err != nil {
-			t.Errorf("durable callback: %v", err)
-		}
-		fired = true
-	})
-	if !fired {
-		t.Fatal("strict append returned before the durable callback fired")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs, _, err := ScanFile(data); err != nil || len(recs) != 1 {
-		t.Fatalf("strict append not on disk: %d records, err %v", len(recs), err)
-	}
-}
-
 // Sync is the drain barrier: after it returns, everything previously
-// appended is on disk even with a long batching interval.
+// appended is on disk, whether the syncer or Sync itself flushed it.
 func TestLogSyncBarrier(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sync.log")
-	l, err := Create(path, time.Hour, nil) // batch interval long enough to never fire
+	l, err := Create(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +251,7 @@ func TestLogSyncBarrier(t *testing.T) {
 
 func TestLogAppendAfterClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "closed.log")
-	l, err := Create(path, time.Millisecond, nil)
+	l, err := Create(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,5 +265,87 @@ func TestLogAppendAfterClose(t *testing.T) {
 	l.Append(Record{Type: TypeStep, LSN: 1}, func(err error) { got = err })
 	if !errors.Is(got, ErrClosed) {
 		t.Fatalf("append after close: callback err = %v, want ErrClosed", got)
+	}
+}
+
+// Group commit: records appended while a write+fsync is in flight go out
+// together in the next one, and every callback still fires after its own
+// batch's fsync, in LSN order.
+func TestLogGroupCommit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "group.log")
+	var (
+		mu      sync.Mutex
+		batches []int
+		acked   []uint64
+	)
+	l, err := Create(path, func(records, _ int, _ time.Duration) {
+		mu.Lock()
+		batches = append(batches, records)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	l.SetOnDurable(func([]byte, uint64) {
+		first.Do(func() {
+			close(entered)
+			<-release // hold the first flush after its fsync
+		})
+	})
+
+	const n = 51
+	var wg sync.WaitGroup
+	wg.Add(n)
+	appendLSN := func(lsn uint64) {
+		l.Append(Record{Type: TypeStep, LSN: lsn}, func(err error) {
+			if err != nil {
+				t.Errorf("lsn %d: durable callback error %v", lsn, err)
+			}
+			mu.Lock()
+			acked = append(acked, lsn)
+			mu.Unlock()
+			wg.Done()
+		})
+	}
+	appendLSN(1)
+	<-entered
+	for lsn := uint64(2); lsn <= n; lsn++ {
+		appendLSN(lsn)
+	}
+	close(release)
+	wg.Wait()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(batches) != 2 || batches[0] != 1 || batches[1] != n-1 {
+		t.Fatalf("fsync batches = %v, want [1 %d]", batches, n-1)
+	}
+	for i, lsn := range acked {
+		if lsn != uint64(i+1) {
+			t.Fatalf("callbacks fired out of LSN order: %v", acked)
+		}
+	}
+}
+
+// A lone append becomes durable on its own: nothing but the append's kick
+// wakes the syncer, with no Sync, Close or later append to push it out.
+func TestLogLoneAppendSyncs(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "lone.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := make(chan error, 1)
+	l.Append(Record{Type: TypeCreate, LSN: 1, Body: []byte("alone")}, func(err error) { done <- err })
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone append was not fsynced within 10s")
 	}
 }

@@ -226,7 +226,7 @@ func run() error {
 	if err := copyTree(dataDir, tmp); err != nil {
 		return err
 	}
-	st, err := server.NewStore(server.Config{Shards: shards, DataDir: tmp, FsyncInterval: -1})
+	st, err := server.NewStore(server.Config{Shards: shards, DataDir: tmp})
 	if err != nil {
 		return fmt.Errorf("recovering generated fixture: %w", err)
 	}
