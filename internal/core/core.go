@@ -75,9 +75,11 @@ type Options struct {
 
 	// Flight, when non-nil, receives causal spans: core.run (or core.repair)
 	// as the run's root, core.round per engine round, and core.solve per
-	// seller coalition decision — the span tree that says which seller gated
-	// which round. Span names are catalogued in PROTOCOL.md. Nil disables
-	// tracing at near-zero cost and never changes behavior.
+	// seller coalition decision over a non-empty candidate set — the span
+	// tree that says which seller gated which round. An engine formats each
+	// distinct attribute string once and shares it across its spans. Span
+	// names are catalogued in PROTOCOL.md. Nil disables tracing at near-zero
+	// cost and never changes behavior.
 	Flight *trace.Flight
 
 	// SpanParent parents the run's root span under an enclosing trace (an

@@ -20,10 +20,13 @@
 //
 // The replay is exact by construction: every protocol round, message,
 // decision, welfare sum and StepStats field is bit-for-bit identical to the
-// full path's. The win is eliminating the per-step rebuild and steady-state
-// allocation, not changing the protocol — round structure is global (every
-// active buyer's cursor advances each phase), so a step costs O(rounds · N)
-// cursor scanning plus the MWIS solves the memo misses, which the
+// full path's. The win is eliminating the per-step rebuild, not changing the
+// protocol — round structure is global, so a step still replays every
+// round. Phase 1 scans only the buyers who can still apply: a buyer leaves
+// the scan in the round she makes no application, and her cursor ends as
+// soon as no later entry can beat her utility. A step therefore costs O(N)
+// to set up the cursors, O(rounds · live buyers) application scanning, three
+// O(N) welfare sums, and the MWIS solves the memo misses, which the
 // core.incremental.solves and memo_hits counters report.
 package core
 

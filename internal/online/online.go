@@ -447,12 +447,12 @@ func (s *Session) Snapshot() Snapshot {
 // FromSnapshot rebuilds a session from its market and a Snapshot, verifying
 // the snapshot's internal consistency on the way in: dimensions must match
 // the market, every matched buyer must be active and on an online channel,
-// and the recomputed welfare and matched count must equal the recorded ones
-// exactly (both survive a JSON round-trip bit-for-bit, so any drift means
-// the snapshot does not describe a state this market can be in). The
-// restored session is bit-equivalent to the one Snapshot was taken from:
-// Step and Rebuild depend only on (market, active, offline, matching,
-// opts), all of which are reproduced.
+// every coalition must be interference-free, and the recomputed welfare and
+// matched count must equal the recorded ones exactly (both survive a JSON
+// round-trip bit-for-bit, so any drift means the snapshot does not describe
+// a state this market can be in). The restored session is bit-equivalent to
+// the one Snapshot was taken from: Step and Rebuild depend only on (market,
+// active, offline, matching, opts), all of which are reproduced.
 func FromSnapshot(m *market.Market, snap Snapshot, opts core.Options) (*Session, error) {
 	if snap.Channels != m.M() || snap.Buyers != m.N() {
 		return nil, fmt.Errorf("online: snapshot is %dx%d, market is %dx%d",
@@ -495,6 +495,11 @@ func FromSnapshot(m *market.Market, snap Snapshot, opts core.Options) (*Session,
 		}
 		if err := s.mu.Assign(i, j); err != nil {
 			return nil, fmt.Errorf("online: snapshot assignment: %w", err)
+		}
+	}
+	for j, i := range snap.Assignment {
+		if i != market.Unmatched && s.base.Graph(i).ConflictsMask(j, s.mu.Members(i)) {
+			return nil, fmt.Errorf("online: snapshot coalition %d has interference at buyer %d", i, j)
 		}
 	}
 	s.steps = snap.Steps

@@ -170,6 +170,28 @@ func TestFromSnapshotRejectsInconsistency(t *testing.T) {
 	mutate("active count drift", func(snap *Snapshot) { snap.Active++ })
 }
 
+// A coalition with interference is no state a session can be in, even when
+// its recorded welfare agrees: matching.Welfare zeroes both conflicting
+// buyers. Accepting it would split the two engine paths on the next Step —
+// the incremental engine repairs from it while core.Repair rejects it.
+func TestFromSnapshotRejectsInterference(t *testing.T) {
+	m, err := market.Generate(market.Config{Sellers: 3, Buyers: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Graph(0).HasEdge(0, 1) {
+		t.Fatal("fixture: buyers 0 and 1 do not interfere on channel 0")
+	}
+	snap := Snapshot{
+		Channels: 3, Buyers: 12, Active: 2, Matched: 2, Welfare: 0,
+		ActiveBuyers: []int{0, 1},
+		Assignment:   []int{0, 0, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+	}
+	if _, err := FromSnapshot(m, snap, core.Options{}); err == nil {
+		t.Fatal("snapshot with interfering buyers 0 and 1 on channel 0 accepted")
+	}
+}
+
 func removeInt(s []int, v int) []int {
 	out := s[:0]
 	for _, x := range s {
