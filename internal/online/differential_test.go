@@ -154,6 +154,89 @@ func TestIncrementalRebuildAdoptEquivalence(t *testing.T) {
 	}
 }
 
+// TestIncrementalSameEventReversals drives events that name one buyer or
+// channel on both sides of a transition, or a buyer and her seller's channel
+// in one event, through the differential pair on a warmed session.
+// randomChurn never lists one index twice, and the session applies an event
+// in a fixed order (departures, arrivals, reclaims, re-offers, moves), so
+// these are the events where the engine's view of the final state could
+// depend on that order.
+func TestIncrementalSameEventReversals(t *testing.T) {
+	for _, tc := range []struct {
+		sellers, buyers int
+		seed            int64
+	}{
+		{4, 24, 61},
+		{6, 40, 62},
+		{8, 70, 63},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%dx%d_seed%d", tc.sellers, tc.buyers, tc.seed), func(t *testing.T) {
+			t.Parallel()
+			p, m := newSessionPair(t, tc.sellers, tc.buyers, tc.seed)
+			var all Event
+			for j := 0; j < m.N(); j++ {
+				all.Arrive = append(all.Arrive, j)
+			}
+			p.step(t, "warm: arrive all", all)
+			r := xrand.New(tc.seed)
+			for k := 0; k < 4; k++ {
+				p.step(t, fmt.Sprintf("warm %d", k), randomChurn(p.inc, m, r))
+			}
+			mu := p.inc.Matching()
+			// heldChannel returns the n-th online channel holding a
+			// coalition, and matchedBuyer the n-th matched buyer.
+			heldChannel := func(n int) int {
+				for i := 0; i < m.M(); i++ {
+					if p.inc.ChannelOnline(i) && mu.CoalitionSize(i) > 0 {
+						if n == 0 {
+							return i
+						}
+						n--
+					}
+				}
+				t.Fatalf("warmed session has too few held channels: %v", mu)
+				return -1
+			}
+			matchedBuyer := func(n int) int {
+				for j := 0; j < m.N(); j++ {
+					if mu.IsMatched(j) {
+						if n == 0 {
+							return j
+						}
+						n--
+					}
+				}
+				t.Fatalf("warmed session has too few matched buyers: %v", mu)
+				return -1
+			}
+
+			i := heldChannel(0)
+			p.step(t, "held channel down and up", Event{ChannelDown: []int{i}, ChannelUp: []int{i}})
+
+			j := matchedBuyer(0)
+			p.step(t, "matched buyer departs and re-arrives", Event{Depart: []int{j}, Arrive: []int{j}})
+
+			j = matchedBuyer(1)
+			i = mu.SellerOf(j)
+			p.step(t, "matched buyer departs", Event{Depart: []int{j}})
+			p.step(t, "buyer arrives as her seller goes down", Event{Arrive: []int{j}, ChannelDown: []int{i}})
+			p.step(t, "her seller comes back up", Event{ChannelUp: []int{i}})
+
+			j = matchedBuyer(2)
+			to, _ := p.inc.Market().BuyerPos(matchedBuyer(3))
+			p.step(t, "departing buyer moves", Event{Depart: []int{j}, Move: []BuyerMove{{Buyer: j, To: to}}})
+
+			a, b := heldChannel(0), heldChannel(1)
+			p.step(t, "two channels down, one back up", Event{ChannelDown: []int{a, b}, ChannelUp: []int{a}})
+
+			// A final mixed step runs Stage II over every column and row the
+			// events above touched.
+			p.step(t, "after the reversals", randomChurn(p.inc, m, r))
+		})
+	}
+}
+
 // FuzzIncrementalStep feeds byte-program-driven event traces — every Event
 // type, duplicate indices, and out-of-range indices that must fail Validate
 // — through the differential pair, asserting bit-for-bit equality at every

@@ -46,10 +46,47 @@ var memoSparse = [64][2]int64{
 	{0, 14}, {0, 9}, {0, 13}, {1, 12}, {2, 12}, {0, 8}, {0, 11}, {0, 11},
 }
 
+// stepCounters are the engine-wide registry counters each incremental step
+// must keep consistent with memoCounters (see checkStepCounters).
+var stepCounters = []string{
+	"core.runs",
+	"core.incremental.steps",
+	"core.mwis.solves",
+	"core.cache.misses",
+	"core.cache.hits",
+	"core.cache.independent",
+	"core.evictions",
+	"core.incremental.solves",
+	"core.incremental.memo_hits",
+}
+
+// checkStepCounters requires one step's stepCounters deltas to describe one
+// run of its own: the engine-wide solve and cache counters agree with the
+// incremental ones, and Stage I, which a step never runs, evicts nobody.
+func checkStepCounters(t *testing.T, k int, d map[string]int64) {
+	t.Helper()
+	if d["core.runs"] != 1 || d["core.incremental.steps"] != 1 {
+		t.Fatalf("step %d: core.runs +%d, core.incremental.steps +%d, want +1 each",
+			k, d["core.runs"], d["core.incremental.steps"])
+	}
+	if solves := d["core.incremental.solves"]; d["core.mwis.solves"] != solves || d["core.cache.misses"] != solves {
+		t.Fatalf("step %d: core.mwis.solves +%d, core.cache.misses +%d, core.incremental.solves +%d, want equal",
+			k, d["core.mwis.solves"], d["core.cache.misses"], solves)
+	}
+	if hits := d["core.cache.hits"] + d["core.cache.independent"]; hits != d["core.incremental.memo_hits"] {
+		t.Fatalf("step %d: core.cache.hits+independent +%d, core.incremental.memo_hits +%d, want equal",
+			k, hits, d["core.incremental.memo_hits"])
+	}
+	if d["core.evictions"] != 0 {
+		t.Fatalf("step %d: core.evictions +%d, want 0", k, d["core.evictions"])
+	}
+}
+
 // TestMobileMemoCountersPinned replays the mobile churn trace and requires
 // every step's solve and memo-hit deltas to equal the recorded tables, on
 // both a dense and a sparse market: a change to what the memo keeps, drops
-// or keys on shows up here even when every matching stays the same.
+// or keys on shows up here even when every matching stays the same. Every
+// step's engine-wide counters must also agree with them (checkStepCounters).
 func TestMobileMemoCountersPinned(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -70,10 +107,17 @@ func TestMobileMemoCountersPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			var prev [2]int64
+			prevStep := make(map[string]int64, len(stepCounters))
 			for k, ev := range SyntheticMobileChurn(m, 1, len(c.want)) {
 				if _, err := s.Step(ev); err != nil {
 					t.Fatalf("step %d: %v", k, err)
 				}
+				d := make(map[string]int64, len(stepCounters))
+				for _, name := range stepCounters {
+					v := reg.CounterValue(name)
+					d[name], prevStep[name] = v-prevStep[name], v
+				}
+				checkStepCounters(t, k, d)
 				var got [2]int64
 				for x, name := range memoCounters {
 					v := reg.CounterValue(name)
