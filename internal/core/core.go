@@ -97,7 +97,8 @@ func (o Options) withDefaults() Options {
 // StageStats reports one stage or phase of a run. Welfare is the cumulative
 // social welfare at the end of the stage (the quantity of Fig. 7); Rounds is
 // the stage's own round count (Fig. 8); Messages counts protocol messages
-// initiated during the stage.
+// initiated during the stage. A stage that did not run reports all zeros:
+// Repair and Incremental.Step run no Stage I.
 type StageStats struct {
 	Rounds   int     `json:"rounds"`
 	Welfare  float64 `json:"welfare"`
@@ -116,7 +117,8 @@ type CacheStats struct {
 	Misses      int `json:"misses"`
 }
 
-// Result is the outcome of a full two-stage run.
+// Result is the outcome of a full two-stage run (Run), or of a Stage II pass
+// from a given matching (Repair, Incremental.Step), which leaves StageI zero.
 type Result struct {
 	Matching *matching.Matching `json:"-"`
 
@@ -129,8 +131,8 @@ type Result struct {
 	// Matched is the number of matched buyers.
 	Matched int `json:"matched"`
 
-	// Cache reports coalition-cache effectiveness (zero when the cache is
-	// disabled).
+	// Cache reports coalition-cache effectiveness over this run or step
+	// alone (zero when the cache is disabled).
 	Cache CacheStats `json:"cache"`
 }
 
@@ -155,16 +157,16 @@ func Run(m *market.Market, opts Options) (*Result, error) {
 	if err := eng.runStageII(mu, res); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	res.Cache = eng.cacheStats()
-	eng.publish(res, eng.solves)
+	eng.publish(res)
 	annotateRun(&span, res)
 	return res, nil
 }
 
 // runStageII runs Stage II on mu in place — the transfer phase, then the
 // invitation phase, each unless the options skip it — and fills res's
-// Phase1, Phase2, Welfare and Matched. It is the one Stage II driver behind
-// Run, Repair and Incremental.Step.
+// Phase1, Phase2, Welfare and Matched, and Cache with the run's coalition
+// decisions so far. It is the one Stage II driver behind Run, Repair and
+// Incremental.Step.
 func (e *engine) runStageII(mu *matching.Matching, res *Result) error {
 	var inviteLists [][]int
 	var err error
@@ -182,6 +184,7 @@ func (e *engine) runStageII(mu *matching.Matching, res *Result) error {
 	res.Phase2.Welfare = e.welfare(mu)
 	res.Welfare = res.Phase2.Welfare
 	res.Matched = mu.MatchedCount()
+	res.Cache = e.cache
 	return nil
 }
 

@@ -42,8 +42,11 @@ type engine struct {
 	solvers []mwis.Solver
 	caches  []coalitionCache // nil when Options.DisableCoalitionCache
 
-	solves    int64 // MWIS solves actually executed
-	evictions int64 // Stage I evictions
+	// The run's own counters. A fresh engine runs once; the persistent
+	// incremental engine zeroes them at the start of each step.
+	solves    int64      // MWIS solves actually executed
+	evictions int64      // Stage I evictions
+	cache     CacheStats // coalition decisions by how they were reached
 
 	// reg and rounds (core.round_seconds) are Options.Metrics and its round
 	// histogram; both are nil when instrumentation is off, which keeps the
@@ -118,11 +121,8 @@ func (e *engine) observeRound(start time.Time) {
 	e.rounds.Observe(time.Since(start).Seconds())
 }
 
-// publish flushes one run's aggregate counters onto the registry. solves is
-// the run's own MWIS solve count — for a fresh engine that is the cumulative
-// e.solves, but the persistent incremental engine passes the per-step delta
-// so registry totals stay additive.
-func (e *engine) publish(res *Result, solves int64) {
+// publish flushes one run's aggregate counters onto the registry.
+func (e *engine) publish(res *Result) {
 	reg := e.reg
 	if reg == nil {
 		return
@@ -134,7 +134,7 @@ func (e *engine) publish(res *Result, solves int64) {
 	reg.Counter("core.messages.stage_i").Add(int64(res.StageI.Messages))
 	reg.Counter("core.messages.phase_1").Add(int64(res.Phase1.Messages))
 	reg.Counter("core.messages.phase_2").Add(int64(res.Phase2.Messages))
-	reg.Counter("core.mwis.solves").Add(solves)
+	reg.Counter("core.mwis.solves").Add(e.solves)
 	reg.Counter("core.cache.hits").Add(int64(res.Cache.Hits))
 	reg.Counter("core.cache.independent").Add(int64(res.Cache.Independent))
 	reg.Counter("core.cache.misses").Add(int64(res.Cache.Misses))
@@ -228,7 +228,7 @@ func (e *engine) decideCoalition(i int, candidates []int) ([]int, string, error)
 		return nil, "empty", nil
 	}
 	if sel, ok := c.entries[string(c.key)]; ok {
-		c.hits++
+		e.cache.Hits++
 		return sel, "hit", nil
 	}
 	var sel []int
@@ -240,11 +240,11 @@ func (e *engine) decideCoalition(i int, candidates []int) ([]int, string, error)
 		// GWMIN2 select every vertex since selections delete no candidates,
 		// GWMAX finds the induced subgraph already edgeless, Exact takes
 		// everything), sorted ascending — which canon already is.
-		c.independent++
+		e.cache.Independent++
 		src = "independent"
 		sel = append([]int(nil), canon...)
 	} else {
-		c.misses++
+		e.cache.Misses++
 		e.solves++
 		sel, err = e.solvers[i].Solve(e.opts.MWIS, g, e.rows[i], canon)
 		if err != nil {
@@ -256,17 +256,6 @@ func (e *engine) decideCoalition(i int, candidates []int) ([]int, string, error)
 	}
 	c.entries[string(c.key)] = sel
 	return sel, src, nil
-}
-
-// cacheStats sums the per-seller counters.
-func (e *engine) cacheStats() CacheStats {
-	var cs CacheStats
-	for i := range e.caches {
-		cs.Hits += e.caches[i].hits
-		cs.Independent += e.caches[i].independent
-		cs.Misses += e.caches[i].misses
-	}
-	return cs
 }
 
 // maxCoalitionCacheEntries bounds one seller's memo. A fresh per-run engine
@@ -295,8 +284,6 @@ type coalitionCache struct {
 	sorted  []int      // scratch: canonical candidate set
 	key     []byte     // scratch: delta-varint encoding of sorted
 	mask    graph.Bits // scratch: membership mask for the independence test
-
-	hits, independent, misses int
 }
 
 // canonicalize filters the candidates to positive-weight vertices, sorts and

@@ -5,8 +5,10 @@
 // Incremental engine keeps one Stage II engine alive for a session's whole
 // lifetime and feeds it deltas instead:
 //
-//   - the effective price rows are maintained in place (a departure zeroes a
-//     column, a channel reclaim zeroes a row), never rebuilt;
+//   - the effective price rows are maintained in place: a step re-derives
+//     the column of each buyer and the row of each channel the event
+//     changed, from the session's own active and offline flags, which the
+//     engine reads and never copies;
 //   - buyer preference orders are computed once against the base market —
 //     the transfer phase's strict-improvement test skips zeroed entries
 //     inline, so the base orders replay the exact application schedule the
@@ -24,10 +26,12 @@
 // protocol — round structure is global, so a step still replays every
 // round. Phase 1 scans only the buyers who can still apply: a buyer leaves
 // the scan in the round she makes no application, and her cursor ends as
-// soon as no later entry can beat her utility. A step therefore costs O(N)
-// to set up the cursors, O(rounds · live buyers) application scanning, three
-// O(N) welfare sums, and the MWIS solves the memo misses, which the
-// core.incremental.solves and memo_hits counters report.
+// soon as no later entry can beat her utility. A step therefore costs O(M)
+// per changed buyer and O(N) per changed channel to re-derive their columns
+// and rows, O(N) to set up the cursors, O(rounds · live buyers) application
+// scanning, two O(N) welfare sums (after Phase 1 and after Phase 2), and
+// the MWIS solves the memo misses, which the core.incremental.solves and
+// memo_hits counters report.
 package core
 
 import (
@@ -39,17 +43,17 @@ import (
 	"specmatch/internal/trace"
 )
 
-// Churn describes the effective deltas one online step applied to a session,
-// in application order: Departed buyers were deactivated (and unassigned),
-// Arrived buyers activated, ChannelsDown reclaimed, ChannelsUp re-offered.
-// Lists carry only real transitions — a departure of an already-inactive
-// buyer never appears. Incremental.Step reads a Churn and never retains it,
-// so callers may reuse one across steps (see Reset).
+// Churn names what one online step changed in a session: Buyers whose
+// activity flipped (a departure or an arrival) and Channels whose offer
+// flipped (a reclaim or a re-offer). Order carries no meaning and an index
+// may repeat: a buyer who departs and re-arrives in one event is listed
+// twice. The engine re-derives each listed buyer's column and channel's row
+// from the session's final flags, so the order in which the session applied
+// the event does not matter. Incremental.Step reads a Churn and never
+// retains it, so callers may reuse one across steps (see Reset).
 type Churn struct {
-	Arrived      []int
-	Departed     []int
-	ChannelsUp   []int
-	ChannelsDown []int
+	Buyers   []int
+	Channels []int
 
 	// Rewired lists the channels whose interference graph a buyer move
 	// actually changed (the session already rewired the base market's
@@ -60,13 +64,7 @@ type Churn struct {
 
 // Reset empties c for reuse, keeping every list's storage.
 func (c *Churn) Reset() {
-	*c = Churn{
-		Arrived:      c.Arrived[:0],
-		Departed:     c.Departed[:0],
-		ChannelsUp:   c.ChannelsUp[:0],
-		ChannelsDown: c.ChannelsDown[:0],
-		Rewired:      c.Rewired[:0],
-	}
+	*c = Churn{Buyers: c.Buyers[:0], Channels: c.Channels[:0], Rewired: c.Rewired[:0]}
 }
 
 // incMetrics holds the incremental engine's observability handles; nil when
@@ -78,10 +76,11 @@ type incMetrics struct {
 	memoHits  *obs.Counter
 }
 
-// Incremental is a persistent repair engine bound to one base market and one
-// online session's evolving (active, offline) state. Construct with
-// NewIncremental; Step replaces the session's per-event Repair call. Not
-// safe for concurrent use — sessions are single-writer.
+// Incremental is a persistent repair engine bound to one base market and
+// one online session. It keeps no copy of the session's active and offline
+// flags: each Step reads them. Construct with NewIncremental; Step replaces
+// the session's per-event Repair call. Not safe for concurrent use —
+// sessions are single-writer.
 type Incremental struct {
 	m    *market.Market
 	opts Options
@@ -89,11 +88,6 @@ type Incremental struct {
 
 	basePref [][]int // per-buyer base-market preference orders, computed once
 	prefView [][]int // entry j aliases basePref[j] while j is active, nil otherwise
-	active   []bool
-	offline  []bool
-	ready    bool
-
-	prevCache CacheStats // cumulative memo counters at the end of the last step
 
 	met *incMetrics
 }
@@ -115,125 +109,98 @@ func NewIncremental(m *market.Market, opts Options) *Incremental {
 	return inc
 }
 
-// sync (re)builds the engine's effective price rows and preference views from
-// a full (active, offline) snapshot — the cold-start path, run once on the
-// first Step and again only if a caller ever re-syncs.
-func (inc *Incremental) sync(active, offline []bool) {
-	numSellers, numBuyers := inc.m.M(), inc.m.N()
-	if inc.eng == nil {
-		inc.eng = newEngine(inc.m, inc.opts)
-		inc.basePref = make([][]int, numBuyers)
-		for j := range inc.basePref {
-			inc.basePref[j] = inc.m.BuyerPrefOrder(j)
-		}
-		inc.prefView = make([][]int, numBuyers)
-		inc.eng.basePref = inc.prefView
-		inc.active = make([]bool, numBuyers)
-		inc.offline = make([]bool, numSellers)
-	}
-	copy(inc.active, active)
-	copy(inc.offline, offline)
-	for i := 0; i < numSellers; i++ {
-		row := inc.eng.rows[i]
-		for j := 0; j < numBuyers; j++ {
-			if inc.offline[i] || !inc.active[j] {
-				row[j] = 0
-			} else {
-				row[j] = inc.m.Price(i, j)
-			}
-		}
-	}
-	for j := 0; j < numBuyers; j++ {
-		if inc.active[j] {
+// start allocates the engine on the first Step and derives every price row
+// and preference view from the session's flags.
+func (inc *Incremental) start(active, offline []bool) {
+	inc.eng = newEngine(inc.m, inc.opts)
+	inc.basePref = make([][]int, len(active))
+	inc.prefView = make([][]int, len(active))
+	inc.eng.basePref = inc.prefView
+	for j := range active {
+		inc.basePref[j] = inc.m.BuyerPrefOrder(j)
+		if active[j] {
 			inc.prefView[j] = inc.basePref[j]
-		} else {
-			inc.prefView[j] = nil
 		}
 	}
-	inc.ready = true
+	for i := range offline {
+		inc.setChannel(i, active, offline)
+	}
+	if inc.met != nil {
+		inc.met.coldSyncs.Inc()
+	}
 }
 
-// apply folds one step's churn into the maintained rows and views, in the
-// same order the session applied it (departures before arrivals, reclaims
-// before re-offers), touching only the churned rows and columns.
-func (inc *Incremental) apply(ch Churn) {
-	numSellers, numBuyers := inc.m.M(), inc.m.N()
-	for _, j := range ch.Departed {
-		inc.active[j] = false
-		inc.prefView[j] = nil
-		for i := 0; i < numSellers; i++ {
-			inc.eng.rows[i][j] = 0
-		}
-	}
-	for _, j := range ch.Arrived {
-		inc.active[j] = true
+// setBuyer derives buyer j's price column and preference view from the
+// session's flags.
+func (inc *Incremental) setBuyer(j int, active, offline []bool) {
+	inc.prefView[j] = nil
+	if active[j] {
 		inc.prefView[j] = inc.basePref[j]
-		for i := 0; i < numSellers; i++ {
-			if !inc.offline[i] {
-				inc.eng.rows[i][j] = inc.m.Price(i, j)
-			}
-		}
 	}
-	for _, i := range ch.ChannelsDown {
-		inc.offline[i] = true
-		row := inc.eng.rows[i]
-		for j := 0; j < numBuyers; j++ {
-			row[j] = 0
-		}
+	for i, row := range inc.eng.rows {
+		row[j] = inc.price(i, j, active, offline)
 	}
-	for _, i := range ch.ChannelsUp {
-		inc.offline[i] = false
-		row := inc.eng.rows[i]
-		for j := 0; j < numBuyers; j++ {
-			if inc.active[j] {
-				row[j] = inc.m.Price(i, j)
-			} else {
-				row[j] = 0
-			}
-		}
+}
+
+// setChannel derives channel i's price row from the session's flags.
+func (inc *Incremental) setChannel(i int, active, offline []bool) {
+	row := inc.eng.rows[i]
+	for j := range row {
+		row[j] = inc.price(i, j, active, offline)
 	}
-	// A rewired interference graph invalidates every coalition the channel's
-	// memo pinned; moves change no price, so rows and views stand.
-	if inc.eng.caches != nil {
-		for _, i := range ch.Rewired {
-			inc.eng.caches[i].entries = nil
-		}
+}
+
+// price is seller i's effective price for buyer j: the base price while j
+// is active and channel i online, zero otherwise.
+func (inc *Incremental) price(i, j int, active, offline []bool) float64 {
+	if active[j] && !offline[i] {
+		return inc.m.Price(i, j)
 	}
+	return 0
 }
 
 // Step repairs mu after one churn event, replacing the full path's
 // effective-market rebuild + Repair with an in-place delta pass. The session
 // must have already applied the event to mu (departed and displaced buyers
-// unassigned, arrivals active but unmatched); ch lists the effective
-// transitions and active/offline are the session's post-event state (only
-// read on the first Step, which cold-syncs from them — later steps maintain
-// internal copies from ch alone).
+// unassigned, arrivals active but unmatched) and to active and offline, its
+// post-event flags, which Step reads and never writes. The first Step
+// derives every row from the flags; later steps re-derive only what ch
+// names.
 //
-// The result is bit-for-bit the Result the full path's core.Repair would
-// return on the rebuilt effective sub-market: same matching, same welfare
-// floats, same round, message and cache counts.
+// The matching, the welfare floats and the round and message counts are
+// bit-for-bit those the full path's core.Repair returns on the rebuilt
+// effective sub-market. The cache counts are the step's own and differ from
+// Repair's by design: the memo persists across steps, so a step finds sets
+// that a fresh Repair would have to decide again. Like Repair, a step runs
+// no Stage I, so Result.StageI stays zero.
 func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []bool, parent trace.SpanContext) (Result, error) {
-	if !inc.ready {
-		inc.sync(active, offline)
-		if inc.met != nil {
-			inc.met.coldSyncs.Inc()
-		}
+	if inc.eng == nil {
+		inc.start(active, offline)
 	} else {
-		inc.apply(ch)
+		for _, j := range ch.Buyers {
+			inc.setBuyer(j, active, offline)
+		}
+		for _, i := range ch.Channels {
+			inc.setChannel(i, active, offline)
+		}
+		// A rewired interference graph invalidates every coalition the
+		// channel's memo pinned; moves change no price, so rows and views
+		// stand.
+		if inc.eng.caches != nil {
+			for _, i := range ch.Rewired {
+				inc.eng.caches[i].entries = nil
+			}
+		}
 	}
 	e := inc.eng
 
 	// The full path validates the whole matching per step; here the session
 	// maintains the invariant (it only unassigns, and arrivals join
-	// unmatched), so only the event's own contract is re-checked — O(|event|).
-	for _, j := range ch.Departed {
+	// unmatched), so only the event's own contract is re-checked, in
+	// O(|event|): a buyer whose activity changed is unmatched.
+	for _, j := range ch.Buyers {
 		if mu.IsMatched(j) {
-			return Result{}, fmt.Errorf("core: incremental step: departed buyer %d still matched", j)
-		}
-	}
-	for _, j := range ch.Arrived {
-		if mu.IsMatched(j) {
-			return Result{}, fmt.Errorf("core: incremental step: arrived buyer %d already matched", j)
+			return Result{}, fmt.Errorf("core: incremental step: buyer %d changed activity but is matched", j)
 		}
 	}
 
@@ -243,28 +210,16 @@ func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []
 	defer span.End()
 	e.runCtx = span.Context()
 
+	e.solves, e.evictions, e.cache = 0, 0, CacheStats{}
 	res := Result{Matching: mu}
-	res.StageI.Welfare = e.welfare(mu)
-	solvesBefore := e.solves
 	if err := e.runStageII(mu, &res); err != nil {
 		return Result{}, fmt.Errorf("core: incremental step: %w", err)
 	}
-
-	// The engine's counters are cumulative across the session; Result and
-	// the registry want this step's own contribution.
-	total := e.cacheStats()
-	res.Cache = CacheStats{
-		Hits:        total.Hits - inc.prevCache.Hits,
-		Independent: total.Independent - inc.prevCache.Independent,
-		Misses:      total.Misses - inc.prevCache.Misses,
-	}
-	inc.prevCache = total
-	stepSolves := e.solves - solvesBefore
-	e.publish(&res, stepSolves)
+	e.publish(&res)
 
 	if inc.met != nil {
 		inc.met.steps.Inc()
-		inc.met.solves.Add(stepSolves)
+		inc.met.solves.Add(e.solves)
 		inc.met.memoHits.Add(int64(res.Cache.Hits + res.Cache.Independent))
 	}
 	annotateRun(&span, &res)

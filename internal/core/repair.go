@@ -16,6 +16,9 @@ import (
 // (unmatched) or depart (unassigned), a Repair pass restores Nash stability
 // without restarting deferred acceptance and without evicting any incumbent.
 // Package online builds dynamic-market sessions on top of this.
+//
+// Repair runs no Stage I, so the Result's StageI stats stay zero; a caller
+// that wants the welfare before repair takes matching.Welfare first.
 func Repair(m *market.Market, mu *matching.Matching, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := mu.Validate(); err != nil {
@@ -33,12 +36,10 @@ func Repair(m *market.Market, mu *matching.Matching, opts Options) (Result, erro
 	defer span.End()
 	eng.runCtx = span.Context()
 	res := Result{Matching: mu}
-	res.StageI.Welfare = eng.welfare(mu)
 	if err := eng.runStageII(mu, &res); err != nil {
 		return Result{}, fmt.Errorf("core: repair: %w", err)
 	}
-	res.Cache = eng.cacheStats()
-	eng.publish(&res, eng.solves)
+	eng.publish(&res)
 	annotateRun(&span, &res)
 	return res, nil
 }

@@ -276,7 +276,7 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		s.active[j] = false
 		s.mu.Unassign(j)
 		st.Departed++
-		ch.Departed = append(ch.Departed, j)
+		ch.Buyers = append(ch.Buyers, j)
 	}
 	for _, j := range ev.Arrive {
 		if s.active[j] {
@@ -284,7 +284,7 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		}
 		s.active[j] = true
 		st.Arrived++
-		ch.Arrived = append(ch.Arrived, j)
+		ch.Buyers = append(ch.Buyers, j)
 	}
 	for _, i := range ev.ChannelDown {
 		if s.offline[i] {
@@ -292,7 +292,7 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		}
 		s.offline[i] = true
 		st.ChannelsDown++
-		ch.ChannelsDown = append(ch.ChannelsDown, i)
+		ch.Channels = append(ch.Channels, i)
 		// The reclaiming seller displaces her whole coalition. Unassign
 		// clears only the member being visited, so the walk stays valid.
 		st.Displaced += s.mu.CoalitionSize(i)
@@ -307,7 +307,7 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 		}
 		s.offline[i] = false
 		st.ChannelsUp++
-		ch.ChannelsUp = append(ch.ChannelsUp, i)
+		ch.Channels = append(ch.Channels, i)
 	}
 	for _, mv := range ev.Move {
 		j := mv.Buyer
