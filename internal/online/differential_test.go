@@ -42,7 +42,8 @@ func newSessionPair(t testing.TB, sellers, buyers int, seed int64) (*sessionPair
 }
 
 // step drives one event through both sessions and asserts prefix
-// equivalence: identical error outcome, bit-identical StepStats, equal
+// equivalence: identical error outcome, bit-identical StepStats, a step
+// welfare equal to matching.Welfare over the resulting matching, equal
 // matchings, and bit-identical snapshots (assignment, active sets, exact
 // welfare float).
 func (p *sessionPair) step(t testing.TB, label string, ev Event) {
@@ -57,6 +58,13 @@ func (p *sessionPair) step(t testing.TB, label string, ev Event) {
 	}
 	if stInc != stFull {
 		t.Fatalf("%s: StepStats divergence:\n incremental %+v\n full        %+v", label, stInc, stFull)
+	}
+	// The engine sums welfare from its price rows without an interference
+	// probe; matching.Welfare over the session's own matching keeps one, so
+	// equality here says the engine only ever sums interference-free
+	// matchings.
+	if got := p.inc.Welfare(); stInc.Welfare != got {
+		t.Fatalf("%s: step welfare %v, matching.Welfare gives %v", label, stInc.Welfare, got)
 	}
 	p.compare(t, label)
 }
