@@ -5,6 +5,7 @@ import (
 
 	"specmatch/internal/core"
 	"specmatch/internal/market"
+	"specmatch/internal/matching"
 	"specmatch/internal/mwis"
 	"specmatch/internal/stability"
 )
@@ -13,6 +14,8 @@ import (
 // and checks the §III-C guarantees on every output:
 //
 //   - the matching is valid and interference-free (Prop. 1's invariant),
+//   - its welfare is the exact float matching.Welfare gives, though the
+//     engine sums its price rows without an interference probe,
 //   - individually rational (Prop. 3),
 //   - Nash stable (Prop. 4) — on single-demand markets only: under virtual
 //     expansion the one-shot Phase 2 screening can leave a residual
@@ -84,6 +87,9 @@ func FuzzRun(f *testing.F) {
 		}
 		if v := stability.CheckInterferenceFree(m, ref.Matching); len(v) > 0 {
 			t.Errorf("interference violations: %v", v)
+		}
+		if got := matching.Welfare(m, ref.Matching); ref.Welfare != got {
+			t.Errorf("welfare %v, matching.Welfare gives %v", ref.Welfare, got)
 		}
 		if v := stability.CheckIndividualRational(m, ref.Matching); len(v) > 0 {
 			t.Errorf("IR violations (Prop. 3): %v", v)

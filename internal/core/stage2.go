@@ -11,9 +11,13 @@ import (
 	"specmatch/internal/trace"
 )
 
-// utility is buyer j's utility under mu, read from the engine's price rows.
-// All matchings this engine handles are interference-free, so it is her
-// matched price or zero.
+// utility is buyer j's utility under mu, read from the engine's price rows:
+// her matched price, or zero when she is unmatched. It has no interference
+// probe because every matching the engine holds is interference-free: Stage
+// I keeps independent sets, Phase 1 admits an independent set of compatible
+// applicants, Phase 2 screens each invitation, and Repair and the
+// incremental engine's callers reject or unassign conflicting input. It
+// therefore agrees with matching.BuyerUtilityIn.
 func (e *engine) utility(mu *matching.Matching, j int) float64 {
 	i := mu.SellerOf(j)
 	if i == market.Unmatched {
@@ -22,31 +26,14 @@ func (e *engine) utility(mu *matching.Matching, j int) float64 {
 	return e.rows[i][j]
 }
 
-// buyerUtility is matching.BuyerUtilityIn evaluated against the engine's
-// price rows: buyer j's matched price if her coalition is interference-free
-// around her, else zero. Identical float values and term structure, so
-// welfare sums agree bit-for-bit with the market-based computation.
-func (e *engine) buyerUtility(mu *matching.Matching, j int) float64 {
-	i := mu.SellerOf(j)
-	if i == market.Unmatched {
-		return 0
-	}
-	// j's own bit is never in her adjacency row (no self-loops), so the
-	// word-parallel intersection needs no j2 != j exclusion.
-	if graph.AndAny(e.m.Graph(i).Row(j), mu.Members(i)) {
-		return 0
-	}
-	return e.rows[i][j]
-}
-
 // welfare is matching.Welfare against the engine's rows: the sum over buyers
-// in ascending ID order of buyerUtility. The ascending order is load-bearing
-// — it is the float accumulation order the package's golden welfare values
-// were recorded under.
+// in ascending ID order of utility. The ascending order is load-bearing — it
+// is the float accumulation order the package's golden welfare values were
+// recorded under.
 func (e *engine) welfare(mu *matching.Matching) float64 {
 	total := 0.0
 	for j := 0; j < mu.N(); j++ {
-		total += e.buyerUtility(mu, j)
+		total += e.utility(mu, j)
 	}
 	return total
 }
