@@ -195,19 +195,6 @@ func BenchmarkMatchAsync(b *testing.B) {
 	}
 }
 
-func BenchmarkMatchAsyncConcurrent(b *testing.B) {
-	m := benchMarket(b, 5, 40)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		if _, err := specmatch.MatchAsyncConcurrent(m, specmatch.AsyncConfig{
-			BuyerRule:  specmatch.BuyerRuleII,
-			SellerRule: specmatch.SellerProbabilistic,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMatchOverTCP(b *testing.B) {
 	m := benchMarket(b, 3, 12)
 	b.ResetTimer()

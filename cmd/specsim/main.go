@@ -41,7 +41,6 @@ func run(args []string, out io.Writer) error {
 		drop        = fs.Float64("drop", 0, "message drop probability")
 		delay       = fs.Int("delay", 0, "max extra delivery delay in slots")
 		netSeed     = fs.Int64("net-seed", 1, "network fault seed")
-		concurrent  = fs.Bool("concurrent", false, "run one goroutine per agent instead of the sequential loop")
 		learnCDF    = fs.Bool("learn-cdf", false, "buyers estimate the price CDF from their own vectors (no common prior)")
 		metricsJSON = fs.String("metrics-json", "", "write an agent/simnet metrics snapshot JSON to this path ('-' = stdout)")
 	)
@@ -79,11 +78,7 @@ func run(args []string, out io.Writer) error {
 		LearnCDF:        *learnCDF,
 		Metrics:         reg,
 	}
-	runner := specmatch.MatchAsync
-	if *concurrent {
-		runner = specmatch.MatchAsyncConcurrent
-	}
-	res, err := runner(m, acfg)
+	res, err := specmatch.MatchAsync(m, acfg)
 	if err != nil {
 		return err
 	}

@@ -43,11 +43,11 @@ func TestRunBadRule(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentAndLearnCDF(t *testing.T) {
+func TestRunLearnCDF(t *testing.T) {
 	var out strings.Builder
 	args := []string{
 		"-sellers", "3", "-buyers", "10",
-		"-buyer-rule", "rule-ii", "-concurrent", "-learn-cdf",
+		"-buyer-rule", "rule-ii", "-learn-cdf",
 	}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)

@@ -8,9 +8,9 @@ import (
 // msgMeter holds the agent layer's prebuilt observability handles: one
 // sent/delivered counter pair per protocol message type, stage-transition
 // counters, and the slots-to-convergence gauge. The maps are built once and
-// only read afterwards, so metering is safe from the concurrent runner's
-// per-agent goroutines (the counters themselves are atomic). A nil *msgMeter
-// disables everything at the cost of one pointer check per call.
+// only read afterwards, and the counters themselves are atomic, so nodes on
+// separate goroutines may share one registry. A nil *msgMeter disables
+// everything at the cost of one pointer check per call.
 type msgMeter struct {
 	sent      map[string]*obs.Counter // agent.sent.<type>
 	delivered map[string]*obs.Counter // agent.delivered.<type>
@@ -57,8 +57,7 @@ func (mm *msgMeter) onDeliver(msg simnet.Message) {
 	mm.delivered[PayloadName(msg.Payload)].Inc()
 }
 
-// onTransition counts one agent's Stage I → Stage II transition. Safe from
-// concurrent per-agent goroutines.
+// onTransition counts one agent's Stage I → Stage II transition.
 func (mm *msgMeter) onTransition(kind simnet.Kind) {
 	if mm == nil {
 		return

@@ -10,7 +10,7 @@ import (
 // transports (package wire runs them over real TCP connections): the caller
 // delivers inbound messages, ticks the node once per slot, and ships the
 // returned outbound messages however it likes. The state machines are
-// exactly the ones the simulated runners use, so protocol behavior is
+// exactly the ones Run uses over simnet, so protocol behavior is
 // transport-independent by construction.
 
 // sendBuffer captures an agent's sends for the caller to transport.
@@ -38,7 +38,7 @@ type BuyerNode struct {
 // NewBuyerNode creates the endpoint for buyer id. The config's network
 // settings are ignored — the caller owns the transport — but Metrics and
 // Events are honored, so deployed nodes report the same agent.* metrics as
-// the simulated runners.
+// the simulated runtime (Run).
 func NewBuyerNode(id int, m *market.Market, cfg Config) *BuyerNode {
 	cfg = cfg.withDefaults(m.M(), m.N())
 	buf := &sendBuffer{}

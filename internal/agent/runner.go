@@ -55,6 +55,15 @@ type Result struct {
 	DisagreedPairs int
 }
 
+// netSender is the one capability agents need from the network. Run hands
+// agents the simnet.Network directly; BuyerNode and SellerNode hand them a
+// buffer the caller drains onto its own transport.
+type netSender interface {
+	Send(msg simnet.Message)
+}
+
+var _ netSender = (*simnet.Network)(nil)
+
 // Run executes the asynchronous two-stage protocol on the market and returns
 // the realized matching.
 func Run(m *market.Market, cfg Config) (*Result, error) {

@@ -11,9 +11,9 @@
 // out nil metric handles, and every metric method is a nil-guarded no-op —
 // the same idiom as trace.Recorder. Enabled metrics are safe for concurrent
 // use; counters and gauges are single atomic words, so parallel experiment
-// replications and the goroutine-per-agent runtime update them freely. The
-// canonical metric names per layer are listed in PROTOCOL.md ("Metric
-// names") so alternative transports can instrument identically.
+// replications and the TCP runtime's per-node goroutines update them
+// freely. The canonical metric names per layer are listed in PROTOCOL.md
+// ("Metric names") so alternative transports can instrument identically.
 package obs
 
 import (

@@ -16,7 +16,7 @@
 //
 // Message loss and delay are properties of real networks rather than
 // injected faults here; the protocol's retransmission logic still applies
-// because the state machines are shared with the simulated runners.
+// because the state machines are shared with the simulated runtime.
 package wire
 
 import (

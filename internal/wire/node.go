@@ -17,7 +17,7 @@ type NodeConfig struct {
 	// Agent configures the protocol state machine (transition rules etc.);
 	// its network settings are ignored — TCP is the network. Its Metrics and
 	// Events fields are honored: the wrapped state machine reports the same
-	// agent.* metrics as the simulated runners.
+	// agent.* metrics as the simulated runtime.
 	Agent agent.Config
 	// IOTimeout bounds each read/write; zero means 10s.
 	IOTimeout time.Duration

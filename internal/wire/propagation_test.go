@@ -58,7 +58,7 @@ func verifyTraceTree(t *testing.T, spans []trace.Span, wantNames []string) {
 	}
 }
 
-// TestTracePropagationAcrossRuntimes runs the same market through all three
+// TestTracePropagationAcrossRuntimes runs the same market through both
 // runtimes with a flight recorder attached and checks each produces one
 // coherent trace tree — and bit-identical results to the untraced run, since
 // spans must never perturb the protocol.
@@ -85,24 +85,6 @@ func TestTracePropagationAcrossRuntimes(t *testing.T) {
 			t.Errorf("tracing changed the outcome: welfare %v vs %v", res.Welfare, plain.Welfare)
 		}
 		verifyTraceTree(t, fl.Snapshot(), []string{"agent.run", "agent.handle", "simnet.slot"})
-	})
-
-	t.Run("concurrent", func(t *testing.T) {
-		plain, err := agent.RunConcurrent(m, acfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fl := trace.NewFlight(1 << 14)
-		traced := acfg
-		traced.Flight = fl
-		res, err := agent.RunConcurrent(m, traced)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Welfare != plain.Welfare || !res.Matching.Equal(plain.Matching) {
-			t.Errorf("tracing changed the outcome: welfare %v vs %v", res.Welfare, plain.Welfare)
-		}
-		verifyTraceTree(t, fl.Snapshot(), []string{"agent.run", "agent.handle"})
 	})
 
 	t.Run("tcp", func(t *testing.T) {

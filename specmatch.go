@@ -159,15 +159,6 @@ func MatchAsync(m *Market, cfg AsyncConfig) (*AsyncResult, error) {
 	return agent.Run(m, cfg)
 }
 
-// MatchAsyncConcurrent runs the same protocol with one goroutine per agent,
-// synchronized at slot barriers. On a reliable network the result is
-// bit-identical to MatchAsync; it exists to validate (under the race
-// detector) that agents share no state, and to exploit multicore machines
-// on large markets.
-func MatchAsyncConcurrent(m *Market, cfg AsyncConfig) (*AsyncResult, error) {
-	return agent.RunConcurrent(m, cfg)
-}
-
 // Optimal returns a welfare-maximizing matching and its welfare — the
 // centralized benchmark of §II-B. Exact and exponential in the worst case;
 // intended for small markets (it rejects oversize searches with an error).

@@ -81,8 +81,7 @@ func TestNewMarketFromSpec(t *testing.T) {
 }
 
 // TestExtensionsPublicAPI drives the extension entry points: the swap
-// stage, the double-auction baseline, the dynamic session, and the
-// concurrent async runner.
+// stage, the double-auction baseline, and the dynamic session.
 func TestExtensionsPublicAPI(t *testing.T) {
 	m, err := specmatch.GenerateMarket(specmatch.MarketConfig{Sellers: 4, Buyers: 16, Seed: 3})
 	if err != nil {
@@ -127,17 +126,5 @@ func TestExtensionsPublicAPI(t *testing.T) {
 	}
 	if session.ChannelOnline(0) {
 		t.Error("channel 0 should be offline")
-	}
-
-	conc, err := specmatch.MatchAsyncConcurrent(m, specmatch.AsyncConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := specmatch.MatchAsync(m, specmatch.AsyncConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !conc.Matching.Equal(seq.Matching) {
-		t.Error("concurrent and sequential async runs differ on a reliable network")
 	}
 }
