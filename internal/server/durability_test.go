@@ -507,6 +507,35 @@ func TestMetaShardMismatch(t *testing.T) {
 	}
 }
 
+// TestMetaWrite: a first start leaves meta.json and no tmp file behind, and
+// a stale partial meta.json.tmp, as a crash before the rename leaves it,
+// does not stop the next start. The fsyncs themselves are not observable
+// here.
+func TestMetaWrite(t *testing.T) {
+	for _, stale := range []bool{false, true} {
+		dir := t.TempDir()
+		tmp := filepath.Join(dir, metaName+".tmp")
+		if stale {
+			if err := os.WriteFile(tmp, []byte(`{"format":1,"sha`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustStore(t, durableConfig(dir, 2)).Close()
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("stale=%v: %s left behind (stat err %v)", stale, tmp, err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, metaName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m metaFile
+		if err := json.Unmarshal(data, &m); err != nil || m != (metaFile{Format: 1, Shards: 2}) {
+			t.Errorf("stale=%v: meta.json %q (err %v), want format 1 with 2 shards", stale, data, err)
+		}
+		mustStore(t, durableConfig(dir, 2)).Close()
+	}
+}
+
 // Durable mutations must produce wal.append spans (spanning append →
 // durable) and checkpoints wal.checkpoint spans.
 func TestWALSpans(t *testing.T) {

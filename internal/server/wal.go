@@ -67,11 +67,7 @@ func (st *Store) checkMeta() error {
 		if merr != nil {
 			return merr
 		}
-		tmp := path + ".tmp"
-		if werr := os.WriteFile(tmp, append(m, '\n'), 0o644); werr != nil {
-			return werr
-		}
-		return os.Rename(tmp, path)
+		return writeMeta(st.cfg.DataDir, append(m, '\n'))
 	}
 	if err != nil {
 		return err
@@ -89,6 +85,34 @@ func (st *Store) checkMeta() error {
 			st.cfg.DataDir, m.Shards, st.cfg.Shards, m.Shards)
 	}
 	return nil
+}
+
+// writeMeta writes meta.json the way the wal package writes a checkpoint:
+// a tmp file, fsynced and closed, renamed into place, then a directory
+// fsync. A crash can leave a stale tmp file, which the next start truncates,
+// but never an empty or partial meta.json.
+func writeMeta(dir string, data []byte) error {
+	path := filepath.Join(dir, metaName)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return err
+	}
+	return wal.SyncDir(dir)
 }
 
 // openWAL opens every shard directory, rebuilds the sessions from the

@@ -262,7 +262,7 @@ func (d *Dir) Checkpoint(lsn uint64, body []byte) error {
 	// BEFORE unlinking what they supersede: POSIX orders none of these
 	// metadata ops without an intervening fsync, so deleting first could
 	// persist the unlinks but not the rename across a crash.
-	if err := syncDir(d.path); err != nil {
+	if err := SyncDir(d.path); err != nil {
 		_ = nl.Close()
 		_ = os.Remove(nextLog)
 		return err
@@ -287,7 +287,7 @@ func (d *Dir) Checkpoint(lsn uint64, body []byte) error {
 			_ = os.Remove(filepath.Join(d.path, e.Name()))
 		}
 	}
-	return syncDir(d.path)
+	return SyncDir(d.path)
 }
 
 // Append appends one record to the current log; onDurable fires once it is
@@ -368,8 +368,8 @@ func readSnapshotFile(path string) (body []byte, lsn uint64, err error) {
 	return recs[0].Body, recs[0].LSN, nil
 }
 
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(path string) error {
+// SyncDir fsyncs a directory so renames within it are durable.
+func SyncDir(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
