@@ -40,9 +40,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Flight receives replica.lag spans (nil ok).
 	Flight *trace.Flight
-	// Client is the HTTP client for streams and status polls (nil = a
-	// dedicated default client).
-	Client *http.Client
 	// Logf, when set, receives one-line progress/warning logs.
 	Logf func(format string, args ...any)
 	// PollInterval is the leader-status poll cadence (0 = 250ms).
@@ -53,6 +50,7 @@ type Config struct {
 // locally. Start it with Start; Stop is idempotent and used by promotion.
 type Follower struct {
 	cfg    Config
+	client *http.Client // streams and status polls; no global timeout, streams are long-lived
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -83,15 +81,13 @@ func Start(cfg Config) (*Follower, error) {
 	if cfg.Apply == nil {
 		return nil, fmt.Errorf("replica: follower needs an Apply func")
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{} // no global timeout: streams are long-lived
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 250 * time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{
 		cfg:       cfg,
+		client:    &http.Client{},
 		ctx:       ctx,
 		cancel:    cancel,
 		applied:   make([]atomic.Uint64, cfg.Shards),
@@ -201,7 +197,7 @@ func (f *Follower) streamOnce(shard int) error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -292,7 +288,7 @@ func (f *Follower) pollLeader() {
 			return
 		case <-t.C:
 		}
-		st, err := FetchStatus(f.ctx, f.cfg.Client, f.cfg.Leader)
+		st, err := FetchStatus(f.ctx, f.client, f.cfg.Leader)
 		if err != nil {
 			continue // lag_ms keeps growing; the tailers report the outage
 		}
