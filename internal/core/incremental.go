@@ -29,9 +29,9 @@
 // soon as no later entry can beat her utility. A step therefore costs O(M)
 // per changed buyer and O(N) per changed channel to re-derive their columns
 // and rows, O(N) to set up the cursors, O(rounds · live buyers) application
-// scanning, two O(N) welfare sums (after Phase 1 and after Phase 2), and
-// the MWIS solves the memo misses, which the core.incremental.solves and
-// memo_hits counters report.
+// scanning, two O(N) welfare sums of one price read per buyer (after Phase
+// 1 and after Phase 2), and the MWIS solves the memo misses, which the
+// core.incremental.solves and memo_hits counters report.
 package core
 
 import (
