@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		verify      = fs.Bool("verify", false, "record the protocol trace and lint it against Algorithms 1-2")
 		compareOpt  = fs.Bool("optimal", false, "also solve the centralized optimum (small markets only)")
 		jsonOut     = fs.Bool("json", false, "emit the result as JSON")
-		noCache     = fs.Bool("no-cache", false, "disable the per-seller coalition cache (identical output; for benchmarking)")
+		noCache     = fs.Bool("no-cache", false, "solve every coalition, skipping the independent-set fast path (identical output; for benchmarking)")
 		metricsJSON = fs.String("metrics-json", "", "write an engine metrics snapshot JSON to this path ('-' = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -42,10 +42,11 @@ type Options struct {
 	// that code which still sets it keeps compiling.
 	Workers int
 
-	// DisableCoalitionCache turns off the per-seller incremental coalition
-	// machinery (candidate-set memoization and the independent-set fast
-	// path). Output is identical either way; the knob exists so benchmarks
-	// and ablations can price the MWIS solver's raw hot path.
+	// DisableCoalitionCache hands every coalition decision straight to the
+	// MWIS solver, skipping the candidate canonicalization and the
+	// independent-set fast path. No decision is memoized in either mode,
+	// and the output is identical; the knob exists so benchmarks and
+	// ablations can price the MWIS solver's raw hot path.
 	DisableCoalitionCache bool
 
 	// SkipTransfer and SkipInvitation disable Stage II Phase 1 / Phase 2 for
@@ -65,8 +66,8 @@ type Options struct {
 	Recorder *trace.Recorder
 
 	// Metrics, when non-nil, receives engine instrumentation: per-round wall
-	// time (core.round_seconds), MWIS solves vs. coalition-cache work
-	// avoidance (core.mwis.solves, core.cache.*), evictions, and per-stage
+	// time (core.round_seconds), MWIS solves vs. independent-set fast-path
+	// decisions (core.mwis.solves, core.cache.*), evictions, and per-stage
 	// round/message counts. Counters are cumulative across runs sharing the
 	// registry, so one registry can aggregate a whole experiment. Metric
 	// names are catalogued in PROTOCOL.md. Nil disables instrumentation at
@@ -98,19 +99,20 @@ func (o Options) withDefaults() Options {
 // social welfare at the end of the stage (the quantity of Fig. 7); Rounds is
 // the stage's own round count (Fig. 8); Messages counts protocol messages
 // initiated during the stage. A stage that did not run reports all zeros:
-// Repair and Incremental.Step run no Stage I.
+// Repair and Incremental.Step run no Stage I. Only Run sums the Phase 1
+// welfare; Repair and Incremental.Step leave it zero.
 type StageStats struct {
 	Rounds   int     `json:"rounds"`
 	Welfare  float64 `json:"welfare"`
 	Messages int     `json:"messages"`
 }
 
-// CacheStats reports the incremental coalition machinery's work avoidance
-// across a run. Hits counts MWIS solves skipped because the seller's
-// candidate set was unchanged from an earlier decision (memoized);
+// CacheStats reports how a run's coalition decisions were reached.
 // Independent counts solves skipped because the candidate set was pairwise
 // interference-free, where every solver provably returns the whole set;
-// Misses counts the full MWIS solves that actually ran.
+// Misses counts the full MWIS solves that actually ran. Hits is always 0:
+// the engine memoizes no decision. It stays because TestRunTraceDigests
+// hashes the printed struct, and removing it would re-record every digest.
 type CacheStats struct {
 	Hits        int `json:"hits"`
 	Independent int `json:"independent"`
@@ -118,7 +120,8 @@ type CacheStats struct {
 }
 
 // Result is the outcome of a full two-stage run (Run), or of a Stage II pass
-// from a given matching (Repair, Incremental.Step), which leaves StageI zero.
+// from a given matching (Repair, Incremental.Step), which leaves StageI and
+// Phase1.Welfare zero.
 type Result struct {
 	Matching *matching.Matching `json:"-"`
 
@@ -131,8 +134,8 @@ type Result struct {
 	// Matched is the number of matched buyers.
 	Matched int `json:"matched"`
 
-	// Cache reports coalition-cache effectiveness over this run or step
-	// alone (zero when the cache is disabled).
+	// Cache reports how this run's or step's coalition decisions were
+	// reached (zero when DisableCoalitionCache is set).
 	Cache CacheStats `json:"cache"`
 }
 
@@ -154,7 +157,7 @@ func Run(m *market.Market, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: stage I: %w", err)
 	}
 	res := &Result{Matching: mu, StageI: stage1}
-	if err := eng.runStageII(mu, res); err != nil {
+	if err := eng.runStageII(mu, res, true); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	eng.publish(res)
@@ -165,9 +168,11 @@ func Run(m *market.Market, opts Options) (*Result, error) {
 // runStageII runs Stage II on mu in place — the transfer phase, then the
 // invitation phase, each unless the options skip it — and fills res's
 // Phase1, Phase2, Welfare and Matched, and Cache with the run's coalition
-// decisions so far. It is the one Stage II driver behind Run, Repair and
-// Incremental.Step.
-func (e *engine) runStageII(mu *matching.Matching, res *Result) error {
+// decisions so far. It sums Phase1.Welfare only when sumPhase1 is set:
+// Run's callers plot it (Fig. 7), while Repair's and Incremental.Step's
+// read only the final welfare. It is the one Stage II driver behind Run,
+// Repair and Incremental.Step.
+func (e *engine) runStageII(mu *matching.Matching, res *Result, sumPhase1 bool) error {
 	var inviteLists [][]int
 	var err error
 	if !e.opts.SkipTransfer {
@@ -175,7 +180,9 @@ func (e *engine) runStageII(mu *matching.Matching, res *Result) error {
 			return fmt.Errorf("stage II phase 1: %w", err)
 		}
 	}
-	res.Phase1.Welfare = e.welfare(mu)
+	if sumPhase1 {
+		res.Phase1.Welfare = e.welfare(mu)
+	}
 	if !e.opts.SkipInvitation {
 		if res.Phase2, err = e.runInvitation(mu, inviteLists); err != nil {
 			return fmt.Errorf("stage II phase 2: %w", err)

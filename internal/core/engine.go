@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -16,7 +15,7 @@ import (
 
 // engine holds the per-run state shared by both stages: the materialized
 // price rows, one MWIS solver (reusable scratch buffers) per seller, and the
-// per-seller incremental coalition caches.
+// candidate scratch of the coalition decision.
 //
 // The engine is sequential. Each round decides and applies every seller in
 // seller-ID order, which is the paper's synchronous round: seller i's
@@ -40,7 +39,7 @@ type engine struct {
 	s2 *stage2State
 
 	solvers []mwis.Solver
-	caches  []coalitionCache // nil when Options.DisableCoalitionCache
+	canon   coalitionScratch
 
 	// The run's own counters. A fresh engine runs once; the persistent
 	// incremental engine zeroes them at the start of each step.
@@ -75,7 +74,7 @@ type spanAttrKey struct {
 }
 
 // maxSpanAttrs bounds an engine's spanAttrs. When full the map is dropped
-// and restarts empty, as the coalition memo does.
+// and restarts empty.
 const maxSpanAttrs = 1 << 12
 
 // solveAttrs returns the attribute string of a core.solve span.
@@ -150,9 +149,6 @@ func newEngine(m *market.Market, opts Options) *engine {
 		rows:    priceRows(m),
 		solvers: make([]mwis.Solver, numSellers),
 	}
-	if !opts.DisableCoalitionCache {
-		e.caches = make([]coalitionCache, numSellers)
-	}
 	e.fl = opts.Flight
 	// The stand-alone entry point RunStageI has no run root; parenting its
 	// rounds on SpanParent keeps them in one trace.
@@ -184,18 +180,18 @@ func (e *engine) endRound(span *trace.SpanHandle, stage string, round, messages 
 
 // coalition returns seller i's most-preferred coalition among the candidate
 // buyers: the MWIS of the candidates on her channel's interference graph
-// weighted by her price row. With the cache enabled it first canonicalizes
-// the candidate set and skips the solve when the set was already decided
-// this run (memo hit) or is pairwise interference-free (every solver
-// provably returns the whole set). Returned slices may be shared with the
-// cache and with earlier callers; coalition slices are never mutated.
+// weighted by her price row. Unless Options.DisableCoalitionCache is set it
+// first canonicalizes the candidate set and skips the solve when the set is
+// pairwise interference-free (every solver provably returns the whole set).
+// Each call decides afresh: GWMIN is linear-time, so nothing is memoized.
+// The returned slice is the caller's own; Stage I keeps it as the seller's
+// waiting list.
 //
-// Every call — including cache hits — records a core.solve span under the
-// current round, annotated with the seller, candidate count, and how the
-// decision was reached (src=solve|hit|independent|empty). Both stages call
-// it only with candidates of positive price — Phase 1 rejects outright a
-// seller's applicants when none is compatible — so src=empty is not
-// recorded.
+// Every call records a core.solve span under the current round, annotated
+// with the seller, candidate count, and how the decision was reached
+// (src=solve|independent|empty). Both stages call it only with candidates
+// of positive price — Phase 1 rejects outright a seller's applicants when
+// none is compatible — so src=empty is not recorded.
 func (e *engine) coalition(i int, candidates []int) ([]int, error) {
 	span := e.fl.Start(e.roundCtx, "core.solve")
 	sel, src, err := e.decideCoalition(i, candidates)
@@ -213,83 +209,51 @@ func (e *engine) coalition(i int, candidates []int) ([]int, error) {
 func itoa(v int) string { return strconv.Itoa(v) }
 
 func (e *engine) decideCoalition(i int, candidates []int) ([]int, string, error) {
-	if e.caches == nil {
+	g := e.m.Graph(i)
+	if e.opts.DisableCoalitionCache {
 		e.solves++
-		sel, err := e.solvers[i].Solve(e.opts.MWIS, e.m.Graph(i), e.rows[i], candidates)
+		sel, err := e.solvers[i].Solve(e.opts.MWIS, g, e.rows[i], candidates)
 		return sel, "solve", err
 	}
-	c := &e.caches[i]
-	g := e.m.Graph(i)
-	canon, err := c.canonicalize(g, e.rows[i], candidates)
+	canon, err := e.canon.canonicalize(g, e.rows[i], candidates)
 	if err != nil {
 		return nil, "", err
 	}
 	if len(canon) == 0 {
 		return nil, "empty", nil
 	}
-	if sel, ok := c.entries[string(c.key)]; ok {
-		e.cache.Hits++
-		return sel, "hit", nil
-	}
-	var sel []int
-	src := "solve"
-	if c.isIndependent(g, canon) {
+	if e.canon.isIndependent(g, canon) {
 		// Fast path: a pairwise interference-free candidate set with
 		// positive weights is its own maximum-weight independent set, and
 		// every solver in package mwis returns exactly that set (GWMIN/
 		// GWMIN2 select every vertex since selections delete no candidates,
 		// GWMAX finds the induced subgraph already edgeless, Exact takes
-		// everything), sorted ascending — which canon already is.
+		// everything), sorted ascending — which canon already is. canon is
+		// scratch, so the caller gets a copy.
 		e.cache.Independent++
-		src = "independent"
-		sel = append([]int(nil), canon...)
-	} else {
-		e.cache.Misses++
-		e.solves++
-		sel, err = e.solvers[i].Solve(e.opts.MWIS, g, e.rows[i], canon)
-		if err != nil {
-			return nil, "", err
-		}
+		return append([]int(nil), canon...), "independent", nil
 	}
-	if c.entries == nil || len(c.entries) >= maxCoalitionCacheEntries {
-		c.entries = make(map[string][]int)
+	e.cache.Misses++
+	e.solves++
+	sel, err := e.solvers[i].Solve(e.opts.MWIS, g, e.rows[i], canon)
+	if err != nil {
+		return nil, "", err
 	}
-	c.entries[string(c.key)] = sel
-	return sel, src, nil
+	return sel, "solve", nil
 }
 
-// maxCoalitionCacheEntries bounds one seller's memo. A fresh per-run engine
-// never comes close; the bound exists for the persistent incremental engine,
-// whose memo accumulates across a session's whole lifetime. When full the
-// memo is simply dropped and restarts empty — the only cost is re-solving
-// sets already decided, never a wrong coalition.
-const maxCoalitionCacheEntries = 1 << 14
-
-// coalitionCache memoizes one seller's coalition decisions, keyed on the
-// canonical candidate buyer set. Every input other than the candidate set —
-// the channel's interference graph, the price row, the MWIS algorithm — is
-// fixed for a seller within a run, and every solver is deterministic, so
-// equal candidate sets always yield equal coalitions. Entries are never
-// invalidated within a run for the same reason — and this extends across
-// the steps of an incremental session, where the rows handed to the solver
-// are always the base prices filtered to active buyers and canonicalize
-// drops zero-weight (inactive) candidates, so a canonical set pins the
-// decision regardless of which step produced it. The one exception is
-// mobility: a Move event rewires a channel's interference graph, which is
-// part of the decision a memoized set pins, so the incremental engine drops
-// the rewired channel's whole memo (Churn.Rewired) — drop, never patch,
-// matching the capacity policy below.
-type coalitionCache struct {
-	entries map[string][]int
-	sorted  []int      // scratch: canonical candidate set
-	key     []byte     // scratch: delta-varint encoding of sorted
-	mask    graph.Bits // scratch: membership mask for the independence test
+// coalitionScratch is the coalition decision's reusable candidate scratch.
+// The engine is sequential and no decision outlives its call, so one
+// scratch serves every seller.
+type coalitionScratch struct {
+	sorted []int      // canonical candidate set
+	mask   graph.Bits // membership mask for the independence test
 }
 
 // canonicalize filters the candidates to positive-weight vertices, sorts and
-// deduplicates them (mirroring the solvers' own cleaning, so the cache key
-// identifies the decision exactly), and builds the lookup key into c.key.
-func (c *coalitionCache) canonicalize(g *graph.Graph, weights []float64, candidates []int) ([]int, error) {
+// deduplicates them, mirroring the solvers' own cleaning, so the set is
+// exactly the one a solve would decide.
+func (c *coalitionScratch) canonicalize(g *graph.Graph, weights []float64, candidates []int) ([]int, error) {
 	out := c.sorted[:0]
 	for _, v := range candidates {
 		if v < 0 || v >= g.N() {
@@ -307,18 +271,12 @@ func (c *coalitionCache) canonicalize(g *graph.Graph, weights []float64, candida
 		}
 	}
 	c.sorted = dedup
-	c.key = c.key[:0]
-	prev := 0
-	for _, v := range dedup { // delta-encoded: ids are sorted and distinct
-		c.key = binary.AppendUvarint(c.key, uint64(v-prev))
-		prev = v
-	}
 	return dedup, nil
 }
 
 // isIndependent reports whether no two vertices of set are adjacent in g —
-// one AND-any word sweep per member against the cache's membership mask.
-func (c *coalitionCache) isIndependent(g *graph.Graph, set []int) bool {
+// one AND-any word sweep per member against the scratch membership mask.
+func (c *coalitionScratch) isIndependent(g *graph.Graph, set []int) bool {
 	if len(c.mask) < g.Words() {
 		c.mask = make(graph.Bits, g.Words())
 	}

@@ -13,12 +13,11 @@
 //     the transfer phase's strict-improvement test skips zeroed entries
 //     inline, so the base orders replay the exact application schedule the
 //     per-step effective orders would produce;
-//   - the per-seller coalition memo persists across steps. Solver weights
-//     are always base price × active indicator and canonicalization drops
-//     zero-weight candidates, so a canonical candidate set identifies its
-//     coalition for as long as the channel's interference graph stands; a
-//     Move event that rewires a channel drops that channel's whole memo
-//     (the graph is an input to every memoized decision).
+//   - no coalition decision is remembered, within a step or across steps:
+//     each is decided afresh by the independent-set test or an MWIS solve,
+//     so a session's engine holds only state sized by its market, never by
+//     its history, and a Move, which rewires graphs in place, invalidates
+//     nothing.
 //
 // The replay is exact by construction: every protocol round, message,
 // decision, welfare sum and StepStats field is bit-for-bit identical to the
@@ -29,9 +28,10 @@
 // soon as no later entry can beat her utility. A step therefore costs O(M)
 // per changed buyer and O(N) per changed channel to re-derive their columns
 // and rows, O(N) to set up the cursors, O(rounds · live buyers) application
-// scanning, two O(N) welfare sums of one price read per buyer (after Phase
-// 1 and after Phase 2), and the MWIS solves the memo misses, which the
-// core.incremental.solves and memo_hits counters report.
+// scanning, one O(N) welfare sum of one price read per buyer (after Phase
+// 2), and the MWIS solves of the candidate sets that are not independent,
+// which the core.incremental.solves counter reports (memo_hits counts the
+// independent ones).
 package core
 
 import (
@@ -49,22 +49,18 @@ import (
 // may repeat: a buyer who departs and re-arrives in one event is listed
 // twice. The engine re-derives each listed buyer's column and channel's row
 // from the session's final flags, so the order in which the session applied
-// the event does not matter. Incremental.Step reads a Churn and never
-// retains it, so callers may reuse one across steps (see Reset).
+// the event does not matter. Buyer moves are not listed: they change no
+// price, and the engine reads the session's rewired graphs directly.
+// Incremental.Step reads a Churn and never retains it, so callers may reuse
+// one across steps (see Reset).
 type Churn struct {
 	Buyers   []int
 	Channels []int
-
-	// Rewired lists the channels whose interference graph a buyer move
-	// actually changed (the session already rewired the base market's
-	// graphs). The engine drops those channels' coalition memos, which would
-	// otherwise pin decisions made against the old graph.
-	Rewired []int
 }
 
 // Reset empties c for reuse, keeping every list's storage.
 func (c *Churn) Reset() {
-	*c = Churn{Buyers: c.Buyers[:0], Channels: c.Channels[:0], Rewired: c.Rewired[:0]}
+	*c = Churn{Buyers: c.Buyers[:0], Channels: c.Channels[:0]}
 }
 
 // incMetrics holds the incremental engine's observability handles; nil when
@@ -169,10 +165,9 @@ func (inc *Incremental) price(i, j int, active, offline []bool) float64 {
 //
 // The matching, the welfare floats and the round and message counts are
 // bit-for-bit those the full path's core.Repair returns on the rebuilt
-// effective sub-market. The cache counts are the step's own and differ from
-// Repair's by design: the memo persists across steps, so a step finds sets
-// that a fresh Repair would have to decide again. Like Repair, a step runs
-// no Stage I, so Result.StageI stays zero.
+// effective sub-market, and so are the cache counts: both decide every
+// coalition afresh. Like Repair, a step runs no Stage I and sums no Phase 1
+// welfare, so Result.StageI and Result.Phase1.Welfare stay zero.
 func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []bool, parent trace.SpanContext) (Result, error) {
 	if inc.eng == nil {
 		inc.start(active, offline)
@@ -182,14 +177,6 @@ func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []
 		}
 		for _, i := range ch.Channels {
 			inc.setChannel(i, active, offline)
-		}
-		// A rewired interference graph invalidates every coalition the
-		// channel's memo pinned; moves change no price, so rows and views
-		// stand.
-		if inc.eng.caches != nil {
-			for _, i := range ch.Rewired {
-				inc.eng.caches[i].entries = nil
-			}
 		}
 	}
 	e := inc.eng
@@ -212,7 +199,7 @@ func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []
 
 	e.solves, e.evictions, e.cache = 0, 0, CacheStats{}
 	res := Result{Matching: mu}
-	if err := e.runStageII(mu, &res); err != nil {
+	if err := e.runStageII(mu, &res, false); err != nil {
 		return Result{}, fmt.Errorf("core: incremental step: %w", err)
 	}
 	e.publish(&res)
@@ -220,7 +207,7 @@ func (inc *Incremental) Step(mu *matching.Matching, ch Churn, active, offline []
 	if inc.met != nil {
 		inc.met.steps.Inc()
 		inc.met.solves.Add(e.solves)
-		inc.met.memoHits.Add(int64(res.Cache.Hits + res.Cache.Independent))
+		inc.met.memoHits.Add(int64(res.Cache.Independent))
 	}
 	annotateRun(&span, &res)
 	return res, nil

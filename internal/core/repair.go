@@ -17,8 +17,9 @@ import (
 // without restarting deferred acceptance and without evicting any incumbent.
 // Package online builds dynamic-market sessions on top of this.
 //
-// Repair runs no Stage I, so the Result's StageI stats stay zero; a caller
-// that wants the welfare before repair takes matching.Welfare first.
+// Repair runs no Stage I, so the Result's StageI stats stay zero, and it
+// sums no Phase 1 welfare, so Phase1.Welfare stays zero too; a caller that
+// wants the welfare before repair takes matching.Welfare first.
 func Repair(m *market.Market, mu *matching.Matching, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := mu.Validate(); err != nil {
@@ -36,7 +37,7 @@ func Repair(m *market.Market, mu *matching.Matching, opts Options) (Result, erro
 	defer span.End()
 	eng.runCtx = span.Context()
 	res := Result{Matching: mu}
-	if err := eng.runStageII(mu, &res); err != nil {
+	if err := eng.runStageII(mu, &res, false); err != nil {
 		return Result{}, fmt.Errorf("core: repair: %w", err)
 	}
 	eng.publish(&res)

@@ -40,10 +40,9 @@ func (e *engine) welfare(mu *matching.Matching) float64 {
 
 // stage2State pools every per-run Stage II buffer. A fresh engine (one run)
 // allocates it once; the persistent incremental engine reuses it across
-// steps, so a steady-state churn step allocates only what the coalition memo
-// keeps on a miss.
-// All slices are sized to the market's seller/buyer counts, which are fixed
-// for an engine's lifetime.
+// steps, so a steady-state churn step allocates only the coalitions it
+// decides. All slices are sized to the market's seller/buyer counts, which
+// are fixed for an engine's lifetime.
 type stage2State struct {
 	prefOrder   [][]int      // per-buyer descending preference order for this run
 	next        []int        // per-buyer cursor into prefOrder

@@ -140,55 +140,63 @@ func (m *Market) Clone() *Market {
 // (the disk rule, which the SINR model reproduces at its nominal threshold)
 // or share a physical owner — co-owner edges are structural (§II-A) and
 // survive any move, keeping Validate an invariant. Only j's rows are
-// rewired, via the graph's in-place kernel. It returns the channels whose
-// graph actually changed, ascending; a move that flips no edge returns an
-// empty set but still records the position, so later moves measure from p.
+// rewired, via the graph's in-place kernel. A move that flips no edge still
+// records the position, so later moves measure from p.
 //
 // Ranges nest, so each other buyer's distance to p is computed once and
 // placed in the row of the smallest range covering it; a prefix OR over the
 // ranges, ascending, then yields every channel's new row. Per move that is
-// O(N log M) distance work, O(M·N/64) row words and O(1) per flipped edge,
-// and in steady state only the returned list is allocated.
-func (m *Market) MoveBuyer(j int, p geom.Point) ([]int, error) {
+// O(N·M) distance and range compares, O(M·N/64) row words and O(1) per
+// flipped edge, and in steady state nothing is allocated.
+func (m *Market) MoveBuyer(j int, p geom.Point) error {
 	if !m.HasGeometry() {
-		return nil, fmt.Errorf("market: move buyer %d: market retains no geometry", j)
+		return fmt.Errorf("market: move buyer %d: market retains no geometry", j)
 	}
 	if j < 0 || j >= m.N() {
-		return nil, fmt.Errorf("market: move buyer %d out of range [0,%d)", j, m.N())
+		return fmt.Errorf("market: move buyer %d out of range [0,%d)", j, m.N())
 	}
 	m.buyerPos[j] = p
 	sc := m.moveScratch()
 	for _, row := range sc.rows {
 		row.Reset()
 	}
+	top := sc.r2[len(sc.r2)-1]
 	for k, q := range m.buyerPos {
+		if k == j {
+			continue
+		}
 		t := 0 // co-owners conflict on every channel
 		if m.buyerOwner[k] != m.buyerOwner[j] {
-			// The first t with r2[t] >= d: the disk rule d <= r2, under
-			// which a NaN distance stays out of every range.
-			t = sort.SearchFloat64s(sc.r2, p.DistSq(q))
+			// The disk rule d <= r2: a buyer out of the largest range (or at
+			// a NaN distance) is in no row. Otherwise t is the first index
+			// with r2[t] >= d, counted without a branch per range.
+			d := p.DistSq(q)
+			if !(d <= top) {
+				continue
+			}
+			for _, r := range sc.r2 {
+				t += b2i(r < d)
+			}
 		}
-		if k != j && t < len(sc.rows) {
-			sc.rows[t].Set(k)
-		}
+		sc.rows[t].Set(k)
 	}
 	for t := 1; t < len(sc.rows); t++ {
 		sc.rows[t].Or(sc.rows[t-1])
 	}
-	var changed []int
 	for i, g := range m.graphs {
-		flipped, err := g.RewireVertex(j, sc.rows[sc.rank[i]])
-		if err != nil {
-			return nil, fmt.Errorf("market: move buyer %d: channel %d: %w", j, i, err)
-		}
-		if flipped {
-			if changed == nil {
-				changed = make([]int, 0, len(m.graphs)-i)
-			}
-			changed = append(changed, i)
+		if _, err := g.RewireVertex(j, sc.rows[sc.rank[i]]); err != nil {
+			return fmt.Errorf("market: move buyer %d: channel %d: %w", j, i, err)
 		}
 	}
-	return changed, nil
+	return nil
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // moveScratch is MoveBuyer's working set: r2 holds the squared channel

@@ -11,11 +11,11 @@
 //     and invitations, which never evict incumbents.
 //
 // By default Step runs the repair on a persistent per-session engine
-// (core.Incremental) that keeps effective prices, preference orders, and
-// coalition memos alive across steps, so a step replays Stage II's rounds
-// without a from-scratch market rebuild and re-solves only the coalitions
-// its memo misses; see internal/core/incremental.go and DESIGN.md for the
-// mechanism.
+// (core.Incremental) that keeps effective prices, preference orders and
+// Stage II scratch alive across steps, so a step replays Stage II's rounds
+// without a from-scratch market rebuild. It keeps no per-decision memo, so
+// a session's memory stays flat however long it runs; see
+// internal/core/incremental.go and DESIGN.md for the mechanism.
 // Options.DisableIncremental routes every step through an effective-market
 // rebuild plus core.Repair instead — the output is bit-identical either way
 // (StepStats, matching, welfare floats), which the differential harness in
@@ -311,13 +311,11 @@ func (s *Session) StepTraced(ev Event, parent trace.SpanContext) (StepStats, err
 	}
 	for _, mv := range ev.Move {
 		j := mv.Buyer
-		rewired, err := s.base.MoveBuyer(j, mv.To)
-		if err != nil {
+		if err := s.base.MoveBuyer(j, mv.To); err != nil {
 			// Unreachable after Validate above.
 			return st, fmt.Errorf("online: %w", err)
 		}
 		st.Moved++
-		ch.Rewired = append(ch.Rewired, rewired...)
 		// Only j's edges changed, so only j's own seat can have become
 		// conflicted; the mover, not the incumbent, loses it.
 		if i := s.mu.SellerOf(j); i != market.Unmatched {

@@ -168,6 +168,13 @@ func (st *Store) openWAL() error {
 	}
 	st.nextID.Store(maxID)
 
+	// wal.Open creates a missing shard directory, and checkpoints fsync only
+	// inside their own directory, so the data dir's entries for new shard
+	// directories are made durable here, before any write can be acked.
+	if err := wal.SyncDir(st.cfg.DataDir); err != nil {
+		return fmt.Errorf("server: syncing data dir: %w", err)
+	}
+
 	// Second pass, once the store-wide counter is known: the recovered state
 	// becomes each shard's new baseline and the old (possibly torn) logs are
 	// deleted.

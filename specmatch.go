@@ -70,14 +70,15 @@ type MarketSpec = market.Spec
 type Matching = matching.Matching
 
 // MatchOptions configures the synchronous two-stage algorithm, including
-// the engine's performance knob DisableCoalitionCache, which opts out of
-// coalition-solve caching. Output is bit-identical with the cache on or off.
+// the engine's performance knob DisableCoalitionCache, which solves every
+// coalition instead of skipping pairwise interference-free candidate sets.
+// Output is bit-identical either way.
 // Workers is ignored: the engine is sequential.
 type MatchOptions = core.Options
 
 // MatchResult is the outcome of the two-stage algorithm, including
-// per-stage welfare and round counts, and the coalition-cache counters in
-// Cache.
+// per-stage welfare and round counts, and the coalition-decision counters
+// in Cache.
 type MatchResult = core.Result
 
 // AsyncConfig configures the asynchronous protocol (§IV): network faults
